@@ -15,10 +15,7 @@ package outlierlb_test
 import (
 	"testing"
 
-	"runtime"
-
 	"outlierlb/internal/experiments"
-	"outlierlb/internal/metrics"
 	"outlierlb/internal/mrc"
 	"outlierlb/internal/sim"
 	"outlierlb/internal/trace"
@@ -252,41 +249,4 @@ func BenchmarkMRCCompute(b *testing.B) {
 		curve := mrc.Compute(window)
 		_ = curve.ParamsFor(8192, mrc.DefaultThreshold)
 	}
-}
-
-// BenchmarkCollectorParallel measures the sharded statistics append path
-// under increasing parallelism. Each benchmark goroutine owns a private
-// LogBuffer draining into its own shard, so throughput should scale with
-// GOMAXPROCS (run with -cpu 1,2,4,8 to see the curve); compare against
-// BenchmarkCollectorFlatParallel, where every goroutine contends on one
-// collector's lock.
-func BenchmarkCollectorParallel(b *testing.B) {
-	sc := metrics.NewShardedCollector(runtime.GOMAXPROCS(0))
-	id := metrics.ClassID{App: "bench", Class: "Append"}
-	b.RunParallel(func(pb *testing.PB) {
-		buf := sc.Worker(256)
-		for pb.Next() {
-			buf.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Value: 0.01})
-		}
-		buf.Flush()
-	})
-	b.StopTimer()
-	sc.Snapshot(1)
-}
-
-// BenchmarkCollectorFlatParallel is the contended baseline for
-// BenchmarkCollectorParallel: same record stream, but every goroutine's
-// buffer drains into a single shared collector.
-func BenchmarkCollectorFlatParallel(b *testing.B) {
-	c := metrics.NewCollector()
-	id := metrics.ClassID{App: "bench", Class: "Append"}
-	b.RunParallel(func(pb *testing.PB) {
-		buf := metrics.NewLogBuffer(256, metrics.Drain(c))
-		for pb.Next() {
-			buf.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Value: 0.01})
-		}
-		buf.Flush()
-	})
-	b.StopTimer()
-	c.Snapshot(1)
 }

@@ -44,8 +44,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit figures as CSV series instead of aligned text")
 	obsAddr := flag.String("obs.addr", "", "serve /metrics and /debug endpoints on this address (e.g. :9090)")
 	verbose := flag.Bool("v", false, "print each controller decision to stderr as it happens")
-	statWorkers := flag.Int("stat.workers", 0,
-		"concurrent statistics executors per engine (0 = synchronous, deterministic)")
 	suite := flag.Bool("suite", false, "run the performance suite (full settings) instead of an experiment")
 	suiteShort := flag.Bool("suite.short", false, "run the performance suite with reduced CI settings")
 	resilMode := flag.Bool("resil", false,
@@ -115,7 +113,6 @@ func main() {
 		return
 	}
 
-	experiments.SetStatWorkers(*statWorkers)
 	experiments.SetEventCore(*eventCore)
 	ctrlFlags.Apply()
 	if err := wlFlags.Apply(); err != nil {

@@ -20,9 +20,8 @@
 // benchmarking; keeping the per-rep samples in the JSON preserves it.
 //
 // Concurrency: a Runner is single-owner — construct it, call Run on one
-// goroutine, read the Run result. Scenario closures may themselves spawn
-// goroutines (the macro experiments do); the harness only requires that
-// everything they start is finished when they return.
+// goroutine, read the Run result. Scenario closures must finish
+// everything they start before they return.
 package benchsuite
 
 import (
@@ -246,10 +245,7 @@ func runMicro(s Scenario, opt Options) Result {
 }
 
 // measureAllocs runs fn once between two MemStats reads and returns the
-// allocation deltas per operation. The reads cover the whole process, so
-// goroutines the scenario drives (executors, MRC workers) are included —
-// deliberately: the pipeline's steady-state allocation rate is the
-// quantity the pooling optimizations target.
+// allocation deltas per operation. The reads cover the whole process.
 func measureAllocs(fn func(), n int) (allocsPerOp, bytesPerOp float64) {
 	runtime.GC()
 	var before, after runtime.MemStats

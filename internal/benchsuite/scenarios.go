@@ -6,7 +6,6 @@ package benchsuite
 // the join key Compare uses across BENCH_*.json generations.
 
 import (
-	"runtime"
 	"time"
 
 	"outlierlb/internal/admission"
@@ -195,33 +194,6 @@ func Suite() []Scenario {
 						p++
 					}
 				}, nil
-			},
-		},
-		{
-			Name: "mrc-feed",
-			Kind: "micro",
-			Doc:  "hand one pooled 512-page batch to the background MRC worker, paced so the worker keeps up",
-			Micro: func() (func(int), func()) {
-				w := mrc.NewWorker(256)
-				i := 0
-				run := func(n int) {
-					for k := 0; k < n; k++ {
-						batch := mrc.GetBatch(512)
-						base := uint64(i * 512)
-						for p := uint64(0); p < 512; p++ {
-							batch = append(batch, (base+p)%1021)
-						}
-						for !w.Feed("bench", batch) {
-							runtime.Gosched()
-						}
-						i++
-						if i%8 == 0 {
-							w.Barrier()
-						}
-					}
-					w.Barrier()
-				}
-				return run, w.Close
 			},
 		},
 		{

@@ -10,10 +10,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
+
+	"outlierlb/internal/atomicfile"
 )
 
 // SchemaVersion is the BENCH_*.json document version this package reads
@@ -133,45 +134,15 @@ func Load(path string) (*RunDoc, error) {
 	return d, nil
 }
 
-// WriteFile persists the document to path atomically (temp file in the
-// same directory, fsync, rename — the SignatureStore.SaveFile idiom, so
-// a crash mid-write can never leave a truncated baseline). Unless force
-// is set it refuses to overwrite an existing file: baselines are
-// committed artifacts, and silently clobbering one is how a trajectory
-// gets corrupted.
+// WriteFile persists the document to path atomically, so a crash
+// mid-write can never leave a truncated baseline. Unless force is set it
+// refuses to overwrite an existing file: baselines are committed
+// artifacts, and silently clobbering one is how a trajectory gets
+// corrupted.
 func WriteFile(path string, d *RunDoc, force bool) error {
-	if !force {
-		if _, err := os.Stat(path); err == nil {
-			return fmt.Errorf("benchsuite: %s exists; pass force to overwrite", path)
-		} else if !os.IsNotExist(err) {
-			return err
-		}
+	if err := atomicfile.Write(path, force, d.Encode); err != nil {
+		return fmt.Errorf("benchsuite: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("benchsuite: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmpName != "" {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	if err := d.Encode(tmp); err != nil {
-		return fmt.Errorf("benchsuite: writing %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("benchsuite: syncing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("benchsuite: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("benchsuite: renaming into %s: %w", path, err)
-	}
-	tmpName = "" // success: nothing to clean up
 	return nil
 }
 

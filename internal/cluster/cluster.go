@@ -9,12 +9,9 @@
 // replicas and load-balanced across that subset — the mechanism the
 // paper's fine-grained load balancing relies on.
 //
-// Concurrency: schedulers, replicas and the manager all run on the
-// simulation goroutine (internal/sim) and are single-owner. Engines the
-// manager provisions may run internal statistics goroutines
-// (engine.Config.StatWorkers, via Manager.StatWorkers); those never
-// touch cluster state, but they do need Manager.Close — or a
-// Decommission per replica — to be stopped.
+// Concurrency: schedulers, replicas, the manager and the engines it
+// provisions all run on the simulation goroutine (internal/sim) and are
+// single-owner.
 package cluster
 
 import (

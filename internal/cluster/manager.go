@@ -21,12 +21,6 @@ type Manager struct {
 	// manager provisions. Capacity defaults to the hosting server's
 	// memory when zero.
 	PoolConfig bufferpool.Config
-	// StatWorkers is passed through to engine.Config.StatWorkers for
-	// every engine the manager provisions: 0 (default) keeps engine
-	// statistics synchronous and deterministic; N > 0 runs N concurrent
-	// statistics executors per engine. When non-zero, call Close (or
-	// Decommission each replica) so engine goroutines are stopped.
-	StatWorkers int
 	// Observer, when non-nil, receives engine-lifecycle events
 	// (provisioned/decommissioned/attached).
 	Observer obs.Observer
@@ -137,7 +131,6 @@ func (m *Manager) Provision(app string, srv *server.Server) (*Replica, error) {
 	cfg := engine.Config{
 		Name:         fmt.Sprintf("engine-%d", m.nextEngine),
 		Pool:         m.PoolConfig,
-		StatWorkers:  m.StatWorkers,
 		InlinePhases: m.InlinePhases,
 	}
 	m.nextEngine++
@@ -199,19 +192,8 @@ func (m *Manager) Decommission(app string, rep *Replica) error {
 		}
 	}
 	delete(m.replicas, eng)
-	eng.Close()
 	m.emit(obs.EventEngineDown, app, srv.Name(), eng.Name()+" decommissioned")
 	return nil
-}
-
-// Close stops every provisioned engine's statistics goroutines. Call it
-// when a simulation using StatWorkers > 0 ends; with synchronous engines
-// it is a harmless no-op. Engines stay attached to their schedulers —
-// this is teardown, not decommissioning.
-func (m *Manager) Close() {
-	for eng := range m.replicas {
-		eng.Close()
-	}
 }
 
 // Attach lets a scheduler share an existing replica's engine — the

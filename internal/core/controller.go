@@ -771,15 +771,12 @@ func (c *Controller) collectDirect(now, interval float64, clockAnomaly bool,
 				})
 			}
 			pool := eng.Pool()
-			mrcStats := eng.MRCStats()
 			engObs = append(engObs, obs.EngineObs{
-				Engine:     eng.Name(),
-				HitRatio:   pool.TotalStats().HitRatio(),
-				Resident:   pool.Resident(),
-				Capacity:   pool.Capacity(),
-				QuotaKeys:  len(pool.Quotas()),
-				MRCFed:     mrcStats.Fed,
-				MRCDropped: mrcStats.Dropped,
+				Engine:    eng.Name(),
+				HitRatio:  pool.TotalStats().HitRatio(),
+				Resident:  pool.Resident(),
+				Capacity:  pool.Capacity(),
+				QuotaKeys: len(pool.Quotas()),
 			})
 		}
 		if c.observing {

@@ -908,15 +908,12 @@ func (a *ctrlAgent) round(now float64) {
 			})
 		}
 		pool := eng.Pool()
-		mrcStats := eng.MRCStats()
 		er.engObs = obs.EngineObs{
-			Engine:     eng.Name(),
-			HitRatio:   pool.TotalStats().HitRatio(),
-			Resident:   pool.Resident(),
-			Capacity:   pool.Capacity(),
-			QuotaKeys:  len(pool.Quotas()),
-			MRCFed:     mrcStats.Fed,
-			MRCDropped: mrcStats.Dropped,
+			Engine:    eng.Name(),
+			HitRatio:  pool.TotalStats().HitRatio(),
+			Resident:  pool.Resident(),
+			Capacity:  pool.Capacity(),
+			QuotaKeys: len(pool.Quotas()),
 		}
 		rep.engines = append(rep.engines, er)
 	}

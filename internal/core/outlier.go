@@ -5,12 +5,10 @@
 // resource manager.
 //
 // Concurrency: the Controller ticks on the simulation goroutine
-// (internal/sim) and owns everything it touches. When engines run the
-// concurrent statistics pipeline (internal/engine's StatWorkers), the
-// engine snapshot taken at each tick barriers that pipeline first, so
-// the controller always reasons over a complete interval; the only
-// state it reads that other goroutines write is surfaced through
-// internal/obs, whose Recorder is concurrent-safe.
+// (internal/sim) and owns everything it touches, engines included; the
+// engine snapshot taken at each tick flushes the engine's logging
+// buffer first, so the controller always reasons over a complete
+// interval.
 package core
 
 import (

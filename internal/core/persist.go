@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"outlierlb/internal/atomicfile"
 	"outlierlb/internal/metrics"
 	"outlierlb/internal/mrc"
 )
@@ -159,32 +159,11 @@ func (st *SignatureStore) Load(r io.Reader) error {
 	return nil
 }
 
-// SaveFile atomically persists the store to path: the JSON is written to
-// a temporary file in the same directory, fsynced, and renamed over
-// path. A crash at any point leaves either the previous file or the new
-// one, never a truncated mix.
-func (st *SignatureStore) SaveFile(path string) (err error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("core: saving signatures: %w", err)
-	}
-	name := tmp.Name()
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(name)
-		}
-	}()
-	if err = st.Save(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("core: saving signatures: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("core: saving signatures: %w", err)
-	}
-	if err = os.Rename(name, path); err != nil {
+// SaveFile atomically persists the store to path, replacing any
+// existing file. A crash at any point leaves either the previous file or
+// the new one, never a truncated mix.
+func (st *SignatureStore) SaveFile(path string) error {
+	if err := atomicfile.Write(path, true, st.Save); err != nil {
 		return fmt.Errorf("core: saving signatures: %w", err)
 	}
 	return nil

@@ -7,35 +7,20 @@
 //
 // # Concurrency and ownership
 //
-// An Engine's query path (Execute, Register, Snapshot, Window, ...) is
-// single-owner: it belongs to the simulation goroutine and is not safe
-// for concurrent use. Statistics processing, however, has two modes:
-//
-//   - Config.StatWorkers == 0 (default): fully synchronous. Every event
-//     is logged inline through one private metrics.LogBuffer into one
-//     metrics.Collector, and access windows are updated during Execute.
-//     Results are deterministic and bit-identical run to run.
-//   - Config.StatWorkers = N > 0: the concurrent statistics pipeline of
-//     statexec.go. Execute only appends records to per-executor pending
-//     batches; N executor goroutines own the collector shards
-//     (metrics.ShardedCollector), the per-class access windows, and feed
-//     a background mrc.Worker. Records are class-routed, so per-class
-//     event order — and hence window contents — matches the synchronous
-//     mode; only float summation order in snapshots differs. Engines
-//     with executors must be Close()d to stop their goroutines.
-//
-// Snapshot, Window, WindowTotal and MRCCurve barrier the pipeline first,
-// so either mode observes every record emitted before the call.
+// An Engine is single-owner: it belongs to the simulation goroutine and
+// is not safe for concurrent use. Every event is logged inline through
+// one private metrics.LogBuffer into one metrics.Collector, and access
+// windows are updated during Execute, so results are deterministic and
+// bit-identical run to run. Snapshot and SnapshotStats flush the logging
+// buffer first, so they observe every record emitted before the call.
 package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"outlierlb/internal/bufferpool"
 	"outlierlb/internal/lockmgr"
 	"outlierlb/internal/metrics"
-	"outlierlb/internal/mrc"
 	"outlierlb/internal/obs"
 	"outlierlb/internal/simcore"
 	"outlierlb/internal/trace"
@@ -114,11 +99,6 @@ type Config struct {
 	// LogBufferSize is the per-thread private logging buffer capacity.
 	// Defaults to 4096.
 	LogBufferSize int
-	// StatWorkers, when positive, enables the concurrent statistics
-	// pipeline: N executor goroutines own the collector shards, access
-	// windows and background MRC tracking (see statexec.go). 0 keeps
-	// statistics synchronous and deterministic.
-	StatWorkers int
 	// InlinePhases is the transition escape hatch for the discrete-event
 	// service-phase path (the -sim.eventcore toggle, default on): by
 	// default a query's CPU/disk/lock-wait completions are committed
@@ -130,9 +110,8 @@ type Config struct {
 	InlinePhases bool
 }
 
-// Engine is one simulated database engine. The query path is not safe
-// for concurrent use; see the package comment for the two statistics
-// modes.
+// Engine is one simulated database engine. It is not safe for
+// concurrent use.
 type Engine struct {
 	cfg       Config
 	host      Host
@@ -141,20 +120,7 @@ type Engine struct {
 	collector *metrics.Collector
 	logbuf    *metrics.LogBuffer
 	classes   map[metrics.ClassID]*ClassSpec
-
-	// windows is written by Register (query thread) and read by the
-	// statistics executors; winMu guards the map itself. Each window's
-	// contents are single-owner: the query thread in synchronous mode,
-	// the class's executor in concurrent mode.
-	winMu   sync.RWMutex
-	windows map[metrics.ClassID]*metrics.AccessWindow
-
-	// Concurrent statistics pipeline (nil/empty when StatWorkers == 0).
-	sharded *metrics.ShardedCollector
-	execs   []*statExecutor
-	pending [][]metrics.Record
-	mrcw    *mrc.Worker
-	closed  bool
+	windows   map[metrics.ClassID]*metrics.AccessWindow
 
 	// Per-execution scratch used by the pool's miss hook.
 	curNow    float64
@@ -246,9 +212,6 @@ func New(cfg Config, host Host) (*Engine, error) {
 		latEst:    make(map[metrics.ClassID]float64),
 	}
 	e.logbuf = metrics.NewLogBuffer(cfg.LogBufferSize, metrics.Drain(e.collector))
-	if cfg.StatWorkers > 0 {
-		e.startStatPipeline(cfg.StatWorkers)
-	}
 	if !cfg.InlinePhases {
 		e.phaseQ = simcore.NewQueue()
 		e.onLockGrant = func() {
@@ -275,7 +238,7 @@ func New(cfg Config, host Host) (*Engine, error) {
 		if done > e.curIODone {
 			e.curIODone = done
 		}
-		e.emit(metrics.Record{Kind: metrics.RecIO, Class: e.curClass, Slot: e.curSlot, Value: float64(pages)})
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecIO, Class: e.curClass, Slot: e.curSlot, Value: float64(pages)})
 	})
 	pool.OnFlush(func(class string, pages int) {
 		// Dirty-page write-back is asynchronous: it occupies the disk
@@ -284,7 +247,7 @@ func New(cfg Config, host Host) (*Engine, error) {
 		// dirtied the page.
 		e.host.ReadPages(e.curNow, class, pages)
 		if id, ok := parseClassKey(class); ok {
-			e.emit(metrics.Record{Kind: metrics.RecIO, Class: id, Value: float64(pages)})
+			e.logbuf.Append(metrics.Record{Kind: metrics.RecIO, Class: id, Value: float64(pages)})
 		}
 	})
 	return e, nil
@@ -328,25 +291,12 @@ func (e *Engine) Register(spec ClassSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	spec.slot = e.slotOf(spec.ID)
+	spec.slot = e.collector.SlotFor(spec.ID)
 	e.classes[spec.ID] = &spec
-	e.winMu.Lock()
 	if _, ok := e.windows[spec.ID]; !ok {
 		e.windows[spec.ID] = metrics.NewAccessWindow(e.cfg.WindowSize)
 	}
-	e.winMu.Unlock()
 	return nil
-}
-
-// slotOf resolves id's dense accumulation slot in whichever collector
-// the engine's records land in (the class's ShardIndex shard in
-// concurrent mode). Slot assignments are permanent, so re-registering a
-// class returns the same slot.
-func (e *Engine) slotOf(id metrics.ClassID) metrics.Slot {
-	if e.sharded != nil {
-		return e.sharded.SlotFor(id)
-	}
-	return e.collector.SlotFor(id)
 }
 
 // Deregister removes a query class (e.g. when the scheduler moves it to a
@@ -381,12 +331,7 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 		return now, fmt.Errorf("engine %q: query class %v not registered", e.cfg.Name, id)
 	}
 	key := id.String()
-	// In concurrent mode the class's executor owns its window and applies
-	// the RecAccess stream itself; only the synchronous path updates here.
-	var win *metrics.AccessWindow
-	if e.sharded == nil {
-		win = e.windows[id]
-	}
+	win := e.windows[id]
 
 	// Service-phase span, nested under the scheduler's current span
 	// (the active attempt). sp stays nil on every untraced query, so the
@@ -410,7 +355,7 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 			start = e.locks.WaitShared(now, key, spec.LockTable)
 		}
 		if wait := start - now; wait > 0 {
-			e.emit(metrics.Record{Kind: metrics.RecLockWait, Class: id, Slot: spec.slot, Value: wait})
+			e.logbuf.Append(metrics.Record{Kind: metrics.RecLockWait, Class: id, Slot: spec.slot, Value: wait})
 		}
 	}
 
@@ -425,17 +370,15 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 		} else {
 			res = e.pool.Access(key, pg)
 		}
-		if win != nil {
-			win.Add(pg)
-		}
+		win.Add(pg)
 		if res.Hit {
 			hits++
 		}
-		e.emit(metrics.Record{Kind: metrics.RecAccess, Class: id, Slot: spec.slot, Value: float64(pg), Miss: !res.Hit})
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecAccess, Class: id, Slot: spec.slot, Value: float64(pg), Miss: !res.Hit})
 		prefetched += res.Prefetched
 	}
 	if prefetched > 0 {
-		e.emit(metrics.Record{Kind: metrics.RecReadAhead, Class: id, Slot: spec.slot, Value: float64(prefetched)})
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecReadAhead, Class: id, Slot: spec.slot, Value: float64(prefetched)})
 	}
 
 	cpuWork := spec.CPUPerQuery + float64(spec.PagesPerQuery)*spec.CPUPerPage
@@ -469,7 +412,7 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 		}
 		sp.Finish(done)
 	}
-	e.emit(metrics.Record{Kind: metrics.RecQuery, Class: id, Slot: spec.slot, Value: done - now})
+	e.logbuf.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Slot: spec.slot, Value: done - now})
 	e.updateLatencyEstimate(id, done-now)
 	return done, nil
 }
@@ -555,18 +498,12 @@ func (e *Engine) LatencyEstimate(id metrics.ClassID) float64 {
 // Locks exposes the engine's lock manager (for contention diagnosis).
 func (e *Engine) Locks() *lockmgr.Manager { return e.locks }
 
-// Snapshot makes every record emitted so far visible (flushing the
-// logging buffer, or barriering the statistics executors) and returns
-// per-class metric vectors for a measurement interval of the given
-// length in seconds, resetting the interval counters.
+// Snapshot flushes the logging buffer and returns per-class metric
+// vectors for a measurement interval of the given length in seconds,
+// resetting the interval counters.
 func (e *Engine) Snapshot(interval float64) map[metrics.ClassID]metrics.Vector {
-	e.barrier()
-	var snap map[metrics.ClassID]metrics.Vector
-	if e.sharded != nil {
-		snap = e.sharded.Snapshot(interval)
-	} else {
-		snap = e.collector.Snapshot(interval)
-	}
+	e.logbuf.Flush()
+	snap := e.collector.Snapshot(interval)
 	if f := e.report; f != nil {
 		if f.Drop {
 			return map[metrics.ClassID]metrics.Vector{}
@@ -598,13 +535,8 @@ func (e *Engine) Snapshot(interval float64) map[metrics.ClassID]metrics.Vector {
 // attached. Like Snapshot it resets the interval counters; call one or
 // the other per interval, not both.
 func (e *Engine) SnapshotStats(interval float64) map[metrics.ClassID]metrics.ClassStats {
-	e.barrier()
-	var snap map[metrics.ClassID]metrics.ClassStats
-	if e.sharded != nil {
-		snap = e.sharded.SnapshotStats(interval)
-	} else {
-		snap = e.collector.SnapshotStats(interval)
-	}
+	e.logbuf.Flush()
+	snap := e.collector.SnapshotStats(interval)
 	if f := e.report; f != nil {
 		if f.Drop {
 			return map[metrics.ClassID]metrics.ClassStats{}
@@ -641,16 +573,9 @@ func (e *Engine) SnapshotStats(interval float64) map[metrics.ClassID]metrics.Cla
 }
 
 // Window returns the recent page accesses of class id (oldest first), the
-// input to MRC recomputation. In concurrent mode it barriers the
-// executors first, so the window reflects every access emitted so far.
+// input to MRC recomputation.
 func (e *Engine) Window(id metrics.ClassID) []uint64 {
-	if e.sharded != nil {
-		e.barrier()
-	}
-	e.winMu.RLock()
-	w := e.windows[id]
-	e.winMu.RUnlock()
-	if w != nil {
+	if w := e.windows[id]; w != nil {
 		return w.Snapshot()
 	}
 	return nil
@@ -659,13 +584,7 @@ func (e *Engine) Window(id metrics.ClassID) []uint64 {
 // WindowTotal reports how many page accesses class id has issued over
 // its lifetime (the recent-access window retains only the tail).
 func (e *Engine) WindowTotal(id metrics.ClassID) int64 {
-	if e.sharded != nil {
-		e.barrier()
-	}
-	e.winMu.RLock()
-	w := e.windows[id]
-	e.winMu.RUnlock()
-	if w != nil {
+	if w := e.windows[id]; w != nil {
 		return w.Total()
 	}
 	return 0

@@ -79,7 +79,6 @@ func consolidationWithPolicy(seed uint64, policy string, cfg core.Config) Policy
 	)
 	cfg.Interval = interval
 	tb := newTestbed(seed, 3, PoolPages, cfg)
-	defer tb.close()
 	tpcwApp := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 	tsched := tb.startApp(tpcwApp)
 	tem := tb.emulate(tsched, tpcw.Mix(), think, workload.Constant(clients))
@@ -146,7 +145,6 @@ func AblationQuotaVsMigrate(seed uint64) (quota, migrate PolicyOutcome) {
 			think   = 2.0
 		)
 		tb := newTestbed(seed, 2, PoolPages, core.Config{Interval: 10})
-		defer tb.close()
 		rng := tb.sim.RNG().Fork()
 		app := tpcw.New(rng, tpcw.Options{})
 		sched := tb.startApp(app)
@@ -325,7 +323,6 @@ func indexDropSnapshots(seed uint64) (current, stable map[metrics.ClassID]metric
 		think   = 2.0
 	)
 	tb := newTestbed(seed, 2, PoolPages, core.Config{Interval: 10})
-	defer tb.close()
 	rng := tb.sim.RNG().Fork()
 	app := tpcw.New(rng, tpcw.Options{})
 	sched := tb.startApp(app)
@@ -372,7 +369,6 @@ func AblationFences(seed uint64) []FenceSweepPoint {
 		think    = 2.0
 	)
 	tb := newTestbed(seed, 2, PoolPages, core.Config{Interval: interval})
-	defer tb.close()
 	rng := tb.sim.RNG().Fork()
 	app := tpcw.New(rng, tpcw.Options{})
 	sched := tb.startApp(app)

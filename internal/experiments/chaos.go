@@ -141,7 +141,6 @@ func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) 
 		opts.mutate(&cfg)
 	}
 	tb := newTestbed(seed, 3, 2*PoolPages, cfg)
-	defer tb.close()
 	rec := obs.NewRecorder(1 << 14)
 	observer := obs.Tee(rec, obsHooks.observer)
 	tb.ctl.SetObserver(observer)

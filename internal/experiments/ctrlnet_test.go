@@ -104,7 +104,6 @@ func TestCtrlNetMessageTraffic(t *testing.T) {
 	// simulation queue.
 	run := func() (ctrlnet.Stats, uint64) {
 		tb := newTestbed(1, 2, PoolPages, core.Config{Interval: 10})
-		defer tb.close()
 		app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 		sched := tb.startApp(app)
 		em := tb.emulate(sched, tpcw.Mix(), 1.0, workload.Constant(30))

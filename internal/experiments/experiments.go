@@ -5,11 +5,9 @@
 // from one implementation of each scenario.
 //
 // Concurrency: scenario functions are sequential and must not run
-// concurrently with each other — the SetObsHooks and SetStatWorkers
-// hooks are process-global precisely because scenarios take only a
-// seed. Engines inside a scenario may run statistics goroutines when
-// SetStatWorkers is non-zero; every scenario defers a testbed close that
-// stops them.
+// concurrently with each other — the Set* hooks (SetObsHooks,
+// SetTracer, ...) are process-global precisely because scenarios take
+// only a seed.
 package experiments
 
 import (
@@ -94,19 +92,6 @@ var tracer *obs.Tracer
 // clear.
 func SetTracer(t *obs.Tracer) { tracer = t }
 
-// statWorkers is the engine statistics parallelism applied to testbeds
-// built after SetStatWorkers. Like the observability hooks it is
-// process-global because the scenario functions take only a seed.
-var statWorkers int
-
-// SetStatWorkers makes every subsequently built testbed provision its
-// engines with n concurrent statistics executors (see
-// engine.Config.StatWorkers). The default 0 keeps the synchronous,
-// bit-deterministic pipeline the golden tests assert against; non-zero
-// values preserve per-class event order but may perturb float summation
-// order in snapshots.
-func SetStatWorkers(n int) { statWorkers = n }
-
 // eventCore selects the engines' service-phase completion path for
 // subsequently built testbeds: true (default, the -sim.eventcore
 // toggle) commits CPU/disk/lock-wait completions through each engine's
@@ -174,7 +159,6 @@ func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	s := sim.NewEngine(seed)
 	mgr := cluster.NewManager()
 	mgr.PoolConfig = poolConfig(poolPages)
-	mgr.StatWorkers = statWorkers
 	mgr.Tracer = tracer
 	mgr.InlinePhases = !eventCore
 	for i := 0; i < servers; i++ {
@@ -201,11 +185,6 @@ func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	}
 	return tb
 }
-
-// close stops the engines' statistics goroutines at the end of a
-// scenario. A no-op with synchronous engines, but every scenario defers
-// it so SetStatWorkers cannot leak goroutines across runs.
-func (tb *testbed) close() { tb.mgr.Close() }
 
 // startApp registers app with the manager and provisions its first
 // replica on a free server, returning the scheduler.

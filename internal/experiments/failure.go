@@ -40,7 +40,6 @@ func FailureRecovery(seed uint64) (*FailureResult, error) {
 		think    = 1.0
 	)
 	tb := newTestbed(seed, 3, 2*PoolPages, core.Config{Interval: interval, SettleIntervals: 3, FallbackAfter: 10})
-	defer tb.close()
 	app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 	sched := tb.startApp(app)
 	victim, err := tb.mgr.ProvisionOnFreeServer(app.Name)

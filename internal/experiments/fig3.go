@@ -50,7 +50,6 @@ func Figure3(seed uint64) *Figure3Result {
 		// saturation, so it only backstops a long-failing episode.
 		FallbackAfter: 12,
 	})
-	defer tb.close()
 
 	app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 	sched := tb.startApp(app)

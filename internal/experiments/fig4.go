@@ -46,7 +46,6 @@ func Figure4(seed uint64) *Figure4Result {
 		think    = 2.0
 	)
 	tb := newTestbed(seed, 2, PoolPages, core.Config{Interval: interval})
-	defer tb.close()
 	rng := tb.sim.RNG().Fork()
 	app := tpcw.New(rng, tpcw.Options{})
 	sched := tb.startApp(app)

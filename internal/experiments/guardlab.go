@@ -148,7 +148,6 @@ func runGuardAdmission(seed uint64, template string, pol core.Policy, wcfg guard
 		SettleIntervals: 2,
 		FallbackAfter:   1000,
 	})
-	defer tb.close()
 	rec := obs.NewRecorder(1 << 14)
 	lat := &classLatencyLog{clock: func() float64 { return tb.sim.Now().Seconds() }}
 	observer := obs.Tee(rec, lat, obsHooks.observer)
@@ -251,7 +250,6 @@ func runGuardPlacement(seed uint64, template string, pol core.Policy, wcfg guard
 		// policy seam (and the watchdog judging it) lives.
 		FallbackAfter: 1000,
 	})
-	defer tb.close()
 	rec := obs.NewRecorder(1 << 14)
 	observer := obs.Tee(rec, obsHooks.observer)
 	tb.ctl.SetObserver(observer)

@@ -25,7 +25,6 @@ func TestLifecycle(t *testing.T) {
 	tb := newTestbed(1, 4, PoolPages, core.Config{
 		Interval: 10, SettleIntervals: 3, FallbackAfter: 20,
 	})
-	defer tb.close()
 
 	// Phase 1: TPC-W alone reaches stable state.
 	tpcwApp := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})

@@ -41,7 +41,6 @@ func LockContention(seed uint64) *LockResult {
 		think    = 1.0
 	)
 	tb := newTestbed(seed, 1, PoolPages, core.Config{Interval: interval, SettleIntervals: 2})
-	defer tb.close()
 	rng := tb.sim.RNG().Fork()
 
 	update := metrics.ClassID{App: "ledger", Class: "UpdateBalance"}

@@ -22,7 +22,6 @@ type MRCResult struct {
 // controller does: from the engine-side window via the log analyzer.
 func mrcOf(seed uint64, build func(tb *testbed) (analyze func() *MRCResult)) *MRCResult {
 	tb := newTestbed(seed, 1, PoolPages, core.Config{Interval: 10})
-	defer tb.close()
 	analyze := build(tb)
 	return analyze()
 }

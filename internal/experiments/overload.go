@@ -190,7 +190,6 @@ func Overload(seed uint64) (*OverloadResult, error) {
 		// has; the brownout, not the fallback, is the overload response.
 		FallbackAfter: 1000,
 	})
-	defer tb.close()
 	rec := obs.NewRecorder(1 << 14)
 	lat := &classLatencyLog{clock: func() float64 { return tb.sim.Now().Seconds() }}
 	observer := obs.Tee(rec, lat, obsHooks.observer)

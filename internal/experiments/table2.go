@@ -47,7 +47,6 @@ func Table2(seed uint64) *Table2Result {
 		Interval:        interval,
 		SettleIntervals: 3,
 	})
-	defer tb.close()
 
 	tpcwApp := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 	tsched := tb.startApp(tpcwApp)

@@ -160,7 +160,6 @@ func runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*Tempora
 		ShrinkBelow:     0.25,
 		ShrinkAfter:     3,
 	})
-	defer tb.close()
 	rec := obs.NewRecorder(1 << 14)
 	observer := obs.Tee(rec, obsHooks.observer)
 	tb.ctl.SetObserver(observer)
@@ -257,7 +256,6 @@ func DiurnalShift(seed uint64) (*TemporalResult, error) {
 		ShrinkBelow:     0.25,
 		ShrinkAfter:     3,
 	})
-	defer tb.close()
 	rec := obs.NewRecorder(1 << 14)
 	observer := obs.Tee(rec, obsHooks.observer)
 	tb.ctl.SetObserver(observer)
@@ -323,7 +321,6 @@ func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
 		ShrinkBelow:   0.25,
 		ShrinkAfter:   3,
 	})
-	defer tb.close()
 	rec := obs.NewRecorder(1 << 14)
 	observer := obs.Tee(rec, obsHooks.observer)
 	tb.ctl.SetObserver(observer)

@@ -26,25 +26,3 @@ func ExampleLogBuffer() {
 	// batched flushes: 2, still buffered: 1
 	// queries this interval: 7
 }
-
-// Each worker goroutine owns a private buffer draining into its own
-// shard; Snapshot merges the shards on read. Here two workers log halves
-// of one class's traffic and the merged interval sees all of it.
-func ExampleShardedCollector() {
-	sc := metrics.NewShardedCollector(2)
-	id := metrics.ClassID{App: "shop", Class: "Checkout"}
-
-	w0 := sc.Worker(16) // normally: one call per worker goroutine
-	w1 := sc.Worker(16)
-	for i := 0; i < 5; i++ {
-		w0.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Value: 0.010})
-		w1.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Value: 0.030})
-	}
-	w0.Flush()
-	w1.Flush()
-
-	stats := sc.SnapshotStats(1.0)[id]
-	fmt.Printf("queries: %d, mean latency: %.3fs\n", stats.Latency.Count, stats.Latency.Mean)
-	// Output:
-	// queries: 10, mean latency: 0.020s
-}

@@ -20,9 +20,9 @@ const (
 
 // Record is one logged event. Producers that accumulate into the same
 // collector for many records of one class can stamp Slot (obtained once
-// per class from Collector.SlotFor or ShardedCollector.SlotFor) to skip
-// the per-record class-map lookup on the accumulation path; a zero Slot
-// always falls back to the map.
+// per class from Collector.SlotFor) to skip the per-record class-map
+// lookup on the accumulation path; a zero Slot always falls back to the
+// map.
 type Record struct {
 	Kind  RecordKind
 	Miss  bool
@@ -37,9 +37,9 @@ type Record struct {
 //
 // A LogBuffer is single-owner by design — it is the paper's per-thread
 // private buffer, so exactly one goroutine may Append/Flush, and the
-// flush callback runs synchronously on that goroutine. Concurrency comes
-// from giving each producer its own buffer (see ShardedCollector.Worker),
-// never from sharing one.
+// flush callback runs synchronously on that goroutine. Concurrent
+// producers each get their own buffer draining into a shared Collector,
+// never a shared buffer.
 type LogBuffer struct {
 	buf     []Record
 	flushFn func([]Record)

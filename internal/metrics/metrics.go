@@ -11,7 +11,7 @@
 // # Concurrency and ownership
 //
 // The package mirrors the paper's §4 design — "to avoid locking overhead,
-// we create a private logging buffer per thread" — with three layers:
+// we create a private logging buffer per thread" — with two layers:
 //
 //   - LogBuffer is strictly single-owner: one goroutine appends, and the
 //     flush callback runs on that same goroutine. It is the lock-free
@@ -23,18 +23,11 @@
 //     lock in O(classes) pointer operations and do all rate computation
 //     outside it, so readers never stall writers for the duration of a
 //     snapshot.
-//   - ShardedCollector removes even the per-batch lock contention: each
-//     worker goroutine owns a private LogBuffer draining into its own
-//     shard (a Collector nobody else appends to), and the merge-on-read
-//     snapshot combines shards. The append path shares no mutable state
-//     between workers, which is what lets it scale with GOMAXPROCS (see
-//     BenchmarkCollectorParallel at the repository root).
 //
-// AccessWindow and Histogram are plain single-owner data structures; the
-// concurrent pipeline in internal/engine routes each query class to one
-// stat-executor goroutine so every window keeps exactly one writer.
-// internal/core reads snapshots on the simulation goroutine after the
-// engine has flushed (or, in concurrent mode, barriered) its producers.
+// AccessWindow and Histogram are plain single-owner data structures.
+// In this repository each engine owns one LogBuffer, one Collector and
+// its access windows on the simulation goroutine; internal/core reads
+// snapshots on that goroutine after the engine has flushed its buffer.
 package metrics
 
 import (
@@ -158,9 +151,8 @@ func (a *classAccum) fold(r Record) {
 // their slot keep working unchanged.
 //
 // A Slot is only meaningful to the Collector that issued it: records
-// carrying a slot must be applied to exactly that collector (for a
-// ShardedCollector, the class's ShardIndex shard). Applying a foreign
-// slot silently credits another class.
+// carrying a slot must be applied to exactly that collector. Applying a
+// foreign slot silently credits another class.
 type Slot int32
 
 // Collector accumulates per-query-class samples and produces per-interval

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -204,6 +206,134 @@ func TestLogBufferDrainIntoCollector(t *testing.T) {
 	v := snap[best]
 	if v.Get(Latency) != 0.25 || v.Get(BufferMisses) != 1 || v.Get(IORequests) != 3 || v.Get(ReadAhead) != 5 {
 		t.Fatalf("drained vector wrong: %+v", v)
+	}
+}
+
+// TestCollectorConcurrent drives many producer goroutines, each owning
+// a private LogBuffer draining into one shared Collector, while a reader
+// snapshots concurrently. Run under -race this checks the Collector's
+// documented concurrent safety, and that no record is lost or duplicated
+// across the interval boundaries the reader keeps cutting.
+func TestCollectorConcurrent(t *testing.T) {
+	const (
+		producers = 8
+		perClass  = 2000
+	)
+	c := NewCollector()
+	totals := make(map[ClassID]int64) // queries observed across snapshots
+	absorb := func(snap map[ClassID]Vector) {
+		for id, v := range snap {
+			// interval 1.0 makes Throughput the raw query count.
+			totals[id] += int64(v.Get(Throughput) + 0.5)
+		}
+	}
+
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				absorb(c.Snapshot(1.0))
+			}
+		}
+	}()
+
+	shared := ClassID{App: "app", Class: "Shared"}
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			buf := NewLogBuffer(64, Drain(c))
+			own := ClassID{App: "app", Class: fmt.Sprintf("C%d", p)}
+			for i := 0; i < perClass; i++ {
+				buf.Append(Record{Kind: RecQuery, Class: own, Value: 0.01})
+				buf.Append(Record{Kind: RecQuery, Class: shared, Value: 0.02})
+				buf.Append(Record{Kind: RecAccess, Class: own, Value: float64(i), Miss: i%3 == 0})
+			}
+			buf.Flush() // producer shutdown: deliver the partial batch
+		}(p)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	absorb(c.Snapshot(1.0))
+
+	for p := 0; p < producers; p++ {
+		own := ClassID{App: "app", Class: fmt.Sprintf("C%d", p)}
+		if got := totals[own]; got != perClass {
+			t.Errorf("class %v: %d queries across snapshots, want %d", own, got, perClass)
+		}
+	}
+	if got := totals[shared]; got != producers*perClass {
+		t.Errorf("shared class: %d queries across snapshots, want %d", got, producers*perClass)
+	}
+}
+
+// TestCollectorDoubleBuffer verifies the swap preserves Snapshot's
+// contract: idle classes keep reporting zero vectors in later intervals,
+// and counters never leak across the swap.
+func TestCollectorDoubleBuffer(t *testing.T) {
+	c := NewCollector()
+	id := ClassID{App: "a", Class: "Q"}
+	c.RecordQuery(id, 0.5)
+	s1 := c.Snapshot(1)
+	if got := s1[id].Get(Throughput); got != 1 {
+		t.Fatalf("first interval throughput: got %v want 1", got)
+	}
+	// Two idle intervals: the class must still be reported, at zero, from
+	// both halves of the double buffer.
+	for i := 0; i < 2; i++ {
+		s := c.Snapshot(1)
+		v, ok := s[id]
+		if !ok {
+			t.Fatalf("interval %d: idle class vanished from snapshot", i+2)
+		}
+		if v != (Vector{}) {
+			t.Fatalf("interval %d: idle class has non-zero vector %v", i+2, v)
+		}
+	}
+	// Steady state: snapshots must not allocate fresh accumulator maps.
+	allocs := testing.AllocsPerRun(100, func() {
+		c.RecordQuery(id, 0.1)
+		c.Snapshot(1)
+	})
+	// The result map and the percentile scratch are expected; the
+	// accumulator maps and histograms themselves must be recycled, so a
+	// rebuild (fresh map + accum + histogram per class) would exceed this.
+	if allocs > 10 {
+		t.Errorf("steady-state snapshot allocates %.1f objects per run", allocs)
+	}
+}
+
+// TestApplyMatchesRecords checks the batch path and the per-record path
+// accumulate identically.
+func TestApplyMatchesRecords(t *testing.T) {
+	id := ClassID{App: "a", Class: "Q"}
+	batch := []Record{
+		{Kind: RecQuery, Class: id, Value: 0.2},
+		{Kind: RecAccess, Class: id, Miss: true},
+		{Kind: RecAccess, Class: id},
+		{Kind: RecIO, Class: id, Value: 7},
+		{Kind: RecReadAhead, Class: id, Value: 4},
+		{Kind: RecLockWait, Class: id, Value: 0.05},
+	}
+	a := NewCollector()
+	a.Apply(batch)
+	b := NewCollector()
+	b.RecordQuery(id, 0.2)
+	b.RecordAccess(id, true)
+	b.RecordAccess(id, false)
+	b.RecordIO(id, 7)
+	b.RecordReadAhead(id, 4)
+	b.RecordLockWait(id, 0.05)
+	av, bv := a.Snapshot(2)[id], b.Snapshot(2)[id]
+	if av != bv {
+		t.Fatalf("Apply %v != record methods %v", av, bv)
 	}
 }
 

@@ -15,13 +15,7 @@
 // inside the engine as the paper requires.
 //
 // Concurrency: StackSimulator and SampledSimulator are single-owner —
-// one goroutine accesses, resets and reads a simulator. To track curves
-// off the query path, wrap simulators in a Worker: a background
-// goroutine that owns the per-class simulators exclusively and is fed
-// page-access batches through a bounded channel, shedding (and
-// counting) batches under backpressure rather than ever blocking the
-// producer. internal/engine's concurrent statistics mode feeds one
-// Worker per engine and surfaces its drop counters via internal/obs.
+// one goroutine accesses, resets and reads a simulator.
 package mrc
 
 // ColdMiss is the stack distance reported for a first-ever reference to a

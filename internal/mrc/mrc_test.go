@@ -324,6 +324,29 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestResetReusesAllocations pins the Reset fix: resetting and refilling
+// a warmed simulator must not allocate (maps cleared in place, tree
+// zeroed in place).
+func TestResetReusesAllocations(t *testing.T) {
+	s := NewStackSimulator()
+	fill := func() {
+		// 500 accesses keeps the clock below the 1024-slot tree, so no
+		// compact (which legitimately allocates) triggers mid-run.
+		for i := 0; i < 500; i++ {
+			s.Access(uint64(i % 97))
+		}
+	}
+	fill()
+	s.Reset()
+	allocs := testing.AllocsPerRun(20, func() {
+		fill()
+		s.Reset()
+	})
+	if allocs != 0 {
+		t.Errorf("Reset+refill allocates %.1f objects per cycle, want 0", allocs)
+	}
+}
+
 func TestNewCurveFromHistogram(t *testing.T) {
 	c := NewCurveFromHistogram([]int64{4, 0}, 2)
 	if got := c.MissRatio(1); got != 2.0/6.0 {

@@ -11,9 +11,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
+
+	"outlierlb/internal/atomicfile"
 )
 
 // RunSchemaVersion is the RUN_*.json document version this package
@@ -239,43 +240,13 @@ func LoadRun(path string) (*RunRecording, error) {
 	return r, nil
 }
 
-// WriteRunFile persists the recording to path atomically (temp file in
-// the same directory, fsync, rename — the BENCH_*.json idiom, so a
-// crash mid-write can never leave a truncated artifact). Unless force
-// is set it refuses to overwrite an existing file.
+// WriteRunFile persists the recording to path atomically, so a crash
+// mid-write can never leave a truncated artifact. Unless force is set it
+// refuses to overwrite an existing file.
 func WriteRunFile(path string, r *RunRecording, force bool) error {
-	if !force {
-		if _, err := os.Stat(path); err == nil {
-			return fmt.Errorf("obs: %s exists; pass force to overwrite", path)
-		} else if !os.IsNotExist(err) {
-			return err
-		}
+	if err := atomicfile.Write(path, force, r.Encode); err != nil {
+		return fmt.Errorf("obs: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("obs: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmpName != "" {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	if err := r.Encode(tmp); err != nil {
-		return fmt.Errorf("obs: writing %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("obs: syncing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("obs: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("obs: renaming into %s: %w", path, err)
-	}
-	tmpName = ""
 	return nil
 }
 

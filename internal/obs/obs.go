@@ -15,9 +15,7 @@
 // Concurrency: this is the one layer deliberately built for concurrent
 // use. Recorder, Registry and EventLog are all safe to read while the
 // simulation goroutine writes, because the HTTP debug server serves
-// them live mid-run; everything else in the repository that crosses
-// goroutines (internal/metrics.ShardedCollector, internal/mrc.Worker)
-// reports its health — e.g. MRC batch-drop counters — through here.
+// them live mid-run.
 package obs
 
 import (
@@ -248,21 +246,13 @@ type IntervalObs struct {
 	Replicas   int     `json:"replicas"`
 }
 
-// EngineObs is one database engine's buffer-pool state at a tick, plus
-// the backpressure accounting of its background MRC worker (all zeros
-// when the engine runs the synchronous statistics pipeline).
+// EngineObs is one database engine's buffer-pool state at a tick.
 type EngineObs struct {
 	Engine    string  `json:"engine"`
 	HitRatio  float64 `json:"hit_ratio"`
 	Resident  int     `json:"resident_pages"`
 	Capacity  int     `json:"capacity_pages"`
 	QuotaKeys int     `json:"quotas"`
-	// MRCFed and MRCDropped count page-access batches accepted by and
-	// shed from the engine's background MRC worker since startup.
-	// MRCDropped > 0 means the worker's queue is undersized for the load
-	// and its curves are sampled rather than exact.
-	MRCFed     int64 `json:"mrc_fed_batches,omitempty"`
-	MRCDropped int64 `json:"mrc_dropped_batches,omitempty"`
 }
 
 // ServerObs is one physical server's utilization sample at a tick.

@@ -26,8 +26,6 @@ const (
 	MetricClassLatency  = "outlierlb_class_latency_seconds"
 	MetricClassLatencyQ = "outlierlb_class_latency_quantile_seconds"
 	MetricVirtualTime   = "outlierlb_virtual_time_seconds"
-	MetricMRCFed        = "outlierlb_mrc_fed_batches"
-	MetricMRCDropped    = "outlierlb_mrc_dropped_batches"
 
 	// Overload-protection metrics (admission control + brownout).
 	MetricAdmitted   = "outlierlb_admission_admitted_total"
@@ -84,8 +82,6 @@ func NewRecorder(capacity int) *Recorder {
 	r.reg.Help(MetricClassLatency, "Per-query-class latency distribution across all intervals.")
 	r.reg.Help(MetricClassLatencyQ, "Per-query-class latency quantiles of the last closed interval.")
 	r.reg.Help(MetricVirtualTime, "Current virtual time of the simulation.")
-	r.reg.Help(MetricMRCFed, "Page-access batches accepted by the background MRC worker, per engine.")
-	r.reg.Help(MetricMRCDropped, "Page-access batches shed by the background MRC worker under backpressure, per engine.")
 	r.reg.Help(MetricAdmitted, "Queries past the admission gate since startup, per class.")
 	r.reg.Help(MetricRejected, "Queries rejected by admission control since startup, per class and reason.")
 	r.reg.Help(MetricQueueDepth, "Bounded in-flight queue depth, per application and server.")
@@ -176,10 +172,6 @@ func (r *Recorder) ServerSampled(s ServerObs) {
 		r.reg.Set(MetricPoolHitRatio, eng, e.HitRatio)
 		r.reg.Set(MetricPoolResident, eng, float64(e.Resident))
 		r.reg.Set(MetricPoolQuotas, eng, float64(e.QuotaKeys))
-		if e.MRCFed > 0 || e.MRCDropped > 0 {
-			r.reg.Set(MetricMRCFed, eng, float64(e.MRCFed))
-			r.reg.Set(MetricMRCDropped, eng, float64(e.MRCDropped))
-		}
 	}
 }
 

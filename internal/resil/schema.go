@@ -11,9 +11,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
+
+	"outlierlb/internal/atomicfile"
 )
 
 // SchemaVersion is the RESIL_*.json document version this package reads
@@ -80,41 +81,12 @@ func Load(path string) (*Doc, error) {
 	return d, nil
 }
 
-// WriteFile persists the document to path atomically (temp file in the
-// same directory, fsync, rename) and, unless force is set, refuses to
-// overwrite an existing file: scorecards are committed artifacts.
+// WriteFile persists the document to path atomically and, unless force
+// is set, refuses to overwrite an existing file: scorecards are committed
+// artifacts.
 func WriteFile(path string, d *Doc, force bool) error {
-	if !force {
-		if _, err := os.Stat(path); err == nil {
-			return fmt.Errorf("resil: %s exists; pass force to overwrite", path)
-		} else if !os.IsNotExist(err) {
-			return err
-		}
+	if err := atomicfile.Write(path, force, d.Encode); err != nil {
+		return fmt.Errorf("resil: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("resil: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer func() {
-		if tmpName != "" {
-			tmp.Close()
-			os.Remove(tmpName)
-		}
-	}()
-	if err := d.Encode(tmp); err != nil {
-		return fmt.Errorf("resil: writing %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("resil: syncing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("resil: closing %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("resil: renaming into %s: %w", path, err)
-	}
-	tmpName = ""
 	return nil
 }

@@ -16,13 +16,9 @@
 // composition; plain Schedule is the generic-kind shorthand.
 //
 // Concurrency: the event loop is strictly single-threaded, and every
-// object scheduled on it (servers, engines' query paths, emulators, the
-// controller) is owned by the goroutine calling Run/RunUntil. That
-// single ownership is what makes virtual time deterministic — real
-// concurrency lives downstream of the query path, in the statistics
-// pipeline (see internal/engine's StatWorkers mode and
-// internal/metrics.ShardedCollector), where it cannot perturb event
-// order.
+// object scheduled on it (servers, engines, emulators, the controller)
+// is owned by the goroutine calling Run/RunUntil. That single ownership
+// is what makes virtual time deterministic.
 package sim
 
 import (

@@ -6,9 +6,7 @@
 //
 // Concurrency: generators are stateful (scans keep their position) and
 // single-owner — each belongs to the query class executing it on the
-// engine's query path. The engine's concurrent statistics mode never
-// calls generators off that path; it only ships the produced page
-// numbers to executor goroutines (see internal/engine).
+// engine's query path.
 package trace
 
 import (
