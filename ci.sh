@@ -60,6 +60,18 @@ BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "$BENCH_TMP"' EXIT
 go run ./cmd/benchrunner -suite.short -out "$BENCH_TMP/BENCH_ci.json" -baseline BENCH_0.json -tol 0.30
 
+# Benchmark module: perfbench is a Go module of its own (replace
+# outlierlb => ../), so the root `go vet ./...` and `go test ./...` above
+# never build it.
+(cd perfbench && go vet ./... && go test ./...)
+
+# Benchmark smoke run: one short overload-sweep run, built from source
+# the way BENCHMARK.json runs it. Its last line is the JSON result, which
+# must report every scenario call correct and none failed.
+PERF_RESULT="$(bash perfbench/run.sh --workload overload-sweep --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+echo "$PERF_RESULT" | grep -q '"correct":true'
+echo "$PERF_RESULT" | grep -q '"failed":0,'
+
 # Tracetool smoke: record a fully-traced §5.2 run to a flight-recorder
 # file, then make tracetool decode it strictly and render the per-phase
 # breakdown (tracetool exits non-zero on any malformed span tree).

@@ -13,17 +13,11 @@
 // Concurrency: a Pool belongs to its engine's query path
 // (internal/engine) and is single-owner; its OnMiss/OnFlush hooks run
 // synchronously on that owner. Per-class statistics derived from pool
-// activity flow through the engine's logging buffers (internal/metrics),
-// which is where concurrency, if enabled, begins.
+// activity flow through the engine's logging buffer into its metrics
+// collector (internal/metrics) on the same owner.
 package bufferpool
 
-import (
-	"container/list"
-	"fmt"
-)
-
-// shared is the partition key for all classes without an explicit quota.
-const shared = ""
+import "fmt"
 
 // Stats aggregates the per-class counters the engine logs.
 type Stats struct {
@@ -43,10 +37,23 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-type page struct {
-	id    uint64
-	class string // owning partition key
-	dirty bool
+// nilNode ends a list and the free list.
+const nilNode = -1
+
+// node is one resident page: an element of its partition's young or old
+// list, linked by index into partition.nodes.
+type node struct {
+	id         uint64
+	prev, next int32
+	owner      int32 // the class that brought the page in: index into Pool.order
+	dirty      bool
+	inOld      bool
+}
+
+// sublist is a doubly linked list of nodes.
+type sublist struct {
+	front, back int32
+	n           int
 }
 
 type partition struct {
@@ -54,25 +61,26 @@ type partition struct {
 	// The LRU list is split at a midpoint into a young (MRU-side) and an
 	// old (LRU-side) sublist, as in InnoDB. With midpoint = 0 the old
 	// sublist is unused and the partition is a classic LRU.
-	young *list.List // front = MRU
-	old   *list.List // front = midpoint boundary, back = eviction victim
-	table map[uint64]*entry
+	young sublist // front = MRU
+	old   sublist // front = midpoint boundary, back = eviction victim
+	// nodes holds every node the partition ever allocated; free heads
+	// the list, linked through next, of those not resident. The table
+	// maps a resident page to its node and holds no pointers, so the
+	// garbage collector does not scan it.
+	nodes []node
+	free  int32
+	table map[uint64]int32
 	// oldCap is the old sublist's target size; 0 disables midpoint
 	// insertion.
 	oldCap int
 }
 
-type entry struct {
-	el    *list.Element
-	inOld bool
-}
-
 func newPartition(capacity int, midpoint float64) *partition {
 	p := &partition{
-		capacity: capacity,
-		young:    list.New(),
-		old:      list.New(),
-		table:    make(map[uint64]*entry),
+		young: sublist{front: nilNode, back: nilNode},
+		old:   sublist{front: nilNode, back: nilNode},
+		free:  nilNode,
+		table: make(map[uint64]int32),
 	}
 	p.setCapacity(capacity, midpoint)
 	return p
@@ -93,42 +101,97 @@ func (p *partition) setCapacity(capacity int, midpoint float64) {
 	}
 }
 
-func (p *partition) len() int { return p.young.Len() + p.old.Len() }
+func (p *partition) len() int { return p.young.n + p.old.n }
 
-// lookup returns the entry for id, if resident.
-func (p *partition) lookup(id uint64) (*entry, bool) {
-	e, ok := p.table[id]
-	return e, ok
+func (p *partition) pushFront(l *sublist, i int32) {
+	p.nodes[i].prev, p.nodes[i].next = nilNode, l.front
+	if l.front != nilNode {
+		p.nodes[l.front].prev = i
+	} else {
+		l.back = i
+	}
+	l.front = i
+	l.n++
 }
 
-// touch records a hit on e: young pages move to the MRU end; old pages
-// are promoted into the young sublist (the midpoint policy's "second
-// access" promotion).
-func (p *partition) touch(e *entry) {
-	if !e.inOld {
-		p.young.MoveToFront(e.el)
+func (p *partition) pushBack(l *sublist, i int32) {
+	p.nodes[i].prev, p.nodes[i].next = l.back, nilNode
+	if l.back != nilNode {
+		p.nodes[l.back].next = i
+	} else {
+		l.front = i
+	}
+	l.back = i
+	l.n++
+}
+
+func (p *partition) unlink(l *sublist, i int32) {
+	n := &p.nodes[i]
+	if n.prev != nilNode {
+		p.nodes[n.prev].next = n.next
+	} else {
+		l.front = n.next
+	}
+	if n.next != nilNode {
+		p.nodes[n.next].prev = n.prev
+	} else {
+		l.back = n.prev
+	}
+	l.n--
+}
+
+// alloc makes id resident in an unlinked node owned by class owner and
+// returns the node.
+func (p *partition) alloc(id uint64, owner int32) int32 {
+	i := p.free
+	if i != nilNode {
+		p.free = p.nodes[i].next
+		p.nodes[i] = node{id: id, owner: owner}
+	} else {
+		i = int32(len(p.nodes))
+		p.nodes = append(p.nodes, node{id: id, owner: owner})
+	}
+	p.table[id] = i
+	return i
+}
+
+// release drops unlinked node i from the table onto the free list.
+func (p *partition) release(i int32) {
+	delete(p.table, p.nodes[i].id)
+	p.nodes[i].next = p.free
+	p.free = i
+}
+
+// touch records a hit on node i: young pages move to the MRU end; old
+// pages are promoted into the young sublist (the midpoint policy's
+// "second access" promotion).
+func (p *partition) touch(i int32) {
+	if !p.nodes[i].inOld {
+		if p.young.front != i {
+			p.unlink(&p.young, i)
+			p.pushFront(&p.young, i)
+		}
 		return
 	}
-	pg := e.el.Value.(page)
-	p.old.Remove(e.el)
-	e.el = p.young.PushFront(pg)
-	e.inOld = false
+	p.unlink(&p.old, i)
+	p.nodes[i].inOld = false
+	p.pushFront(&p.young, i)
 	p.rebalance()
 }
 
-// add inserts pg, assuming capacity has been made available. With
-// midpoint insertion enabled, new pages enter at the head of the old
-// sublist; otherwise at the MRU end.
-func (p *partition) add(pg page) {
-	e := &entry{}
+// add inserts page id for class owner, assuming capacity has been made
+// available, and returns its node. With midpoint insertion enabled, new
+// pages enter at the head of the old sublist; otherwise at the MRU end.
+func (p *partition) add(id uint64, owner int32) int32 {
+	i := p.alloc(id, owner)
 	if p.oldCap > 0 {
-		e.el = p.old.PushFront(pg)
-		e.inOld = true
+		p.nodes[i].inOld = true
+		p.pushFront(&p.old, i)
 	} else {
-		e.el = p.young.PushFront(pg)
+		p.pushFront(&p.young, i)
 	}
-	p.table[pg.id] = e
 	p.rebalance()
+	return i
 }
 
 // rebalance demotes young-tail pages into the old sublist until the old
@@ -137,46 +200,49 @@ func (p *partition) rebalance() {
 	if p.oldCap == 0 {
 		return
 	}
-	for p.old.Len() < p.oldCap && p.young.Len() > 0 && p.len() >= p.capacity {
-		tail := p.young.Back()
-		pg := tail.Value.(page)
-		p.young.Remove(tail)
-		e := p.table[pg.id]
-		e.el = p.old.PushFront(pg)
-		e.inOld = true
+	for p.old.n < p.oldCap && p.young.n > 0 && p.len() >= p.capacity {
+		i := p.young.back
+		p.unlink(&p.young, i)
+		p.nodes[i].inOld = true
+		p.pushFront(&p.old, i)
 	}
 }
 
 // evict removes the least valuable page and reports it (old tail first,
 // then young tail). ok is false when the partition is empty.
-func (p *partition) evict() (page, bool) {
-	if tail := p.old.Back(); tail != nil {
-		pg := tail.Value.(page)
-		p.old.Remove(tail)
-		delete(p.table, pg.id)
-		return pg, true
+func (p *partition) evict() (node, bool) {
+	l := &p.old
+	if l.n == 0 {
+		l = &p.young
 	}
-	if tail := p.young.Back(); tail != nil {
-		pg := tail.Value.(page)
-		p.young.Remove(tail)
-		delete(p.table, pg.id)
-		return pg, true
+	if l.n == 0 {
+		return node{}, false
 	}
-	return page{}, false
+	i := l.back
+	p.unlink(l, i)
+	victim := p.nodes[i]
+	p.release(i)
+	return victim, true
 }
 
-// remove deletes a specific resident page.
-func (p *partition) remove(id uint64) {
-	e, ok := p.table[id]
-	if !ok {
-		return
+// remove deletes node i.
+func (p *partition) remove(i int32) {
+	l := &p.young
+	if p.nodes[i].inOld {
+		l = &p.old
 	}
-	if e.inOld {
-		p.old.Remove(e.el)
-	} else {
-		p.young.Remove(e.el)
+	p.unlink(l, i)
+	p.release(i)
+}
+
+// each calls fn on every resident node, young sublist MRU first, then
+// old sublist from the midpoint to the tail.
+func (p *partition) each(fn func(*node)) {
+	for _, l := range [2]*sublist{&p.young, &p.old} {
+		for i := l.front; i != nilNode; i = p.nodes[i].next {
+			fn(&p.nodes[i])
+		}
 	}
-	delete(p.table, id)
 }
 
 // Config controls pool construction.
@@ -202,14 +268,28 @@ type Config struct {
 // Pool is a buffer pool. It is not safe for concurrent use; each simulated
 // engine owns one pool and drives it from the event loop.
 type Pool struct {
-	cfg      Config
-	parts    map[string]*partition // shared partition plus one per quota
-	quota    map[string]int        // class -> quota pages
-	stats    map[string]*Stats
-	lastPage map[string]uint64             // per-class previous page, for sequential detection
-	runLen   map[string]int                // per-class current sequential run length
-	onMiss   func(class string, pages int) // I/O hook: demand misses + prefetch batches
-	onFlush  func(class string, pages int) // I/O hook: dirty pages written back
+	cfg     Config
+	shared  *partition
+	classes map[string]*classState
+	order   []*classState                 // classes by first use; node.owner indexes it
+	onMiss  func(class string, pages int) // I/O hook: demand misses + prefetch batches
+	onFlush func(class string, pages int) // I/O hook: dirty pages written back
+}
+
+// classState is everything the pool keeps per class, so that an access
+// looks the class up once.
+type classState struct {
+	name  string
+	idx   int32 // position in Pool.order
+	stats Stats
+	// part serves the class: the shared partition, or its own one while
+	// it has a quota (the quota is that partition's capacity).
+	part *partition
+	// lastPage and runLen detect sequential runs for read-ahead;
+	// lastPage is unset until the class's first access.
+	lastPage    uint64
+	hasLastPage bool
+	runLen      int
 }
 
 // New returns a pool with the given configuration.
@@ -221,12 +301,9 @@ func New(cfg Config) (*Pool, error) {
 		cfg.ReadAheadPages = 32
 	}
 	p := &Pool{
-		cfg:      cfg,
-		parts:    map[string]*partition{shared: newPartition(cfg.Capacity, cfg.MidpointFraction)},
-		quota:    make(map[string]int),
-		stats:    make(map[string]*Stats),
-		lastPage: make(map[string]uint64),
-		runLen:   make(map[string]int),
+		cfg:     cfg,
+		shared:  newPartition(cfg.Capacity, cfg.MidpointFraction),
+		classes: make(map[string]*classState),
 	}
 	return p, nil
 }
@@ -252,29 +329,38 @@ func (p *Pool) OnFlush(fn func(class string, pages int)) { p.onFlush = fn }
 // Capacity reports the total configured capacity in pages.
 func (p *Pool) Capacity() int { return p.cfg.Capacity }
 
-// partitionFor returns the partition serving class.
-func (p *Pool) partitionFor(class string) *partition {
-	if _, ok := p.quota[class]; ok {
-		return p.parts[class]
+// class returns class's state, creating it on first use.
+func (p *Pool) class(name string) *classState {
+	cs := p.classes[name]
+	if cs == nil {
+		cs = &classState{name: name, idx: int32(len(p.order)), part: p.shared}
+		p.classes[name] = cs
+		p.order = append(p.order, cs)
 	}
-	return p.parts[shared]
+	return cs
 }
 
-func (p *Pool) statsFor(class string) *Stats {
-	s := p.stats[class]
-	if s == nil {
-		s = &Stats{}
-		p.stats[class] = s
+// hasQuota reports whether cs has a partition of its own.
+func (p *Pool) hasQuota(cs *classState) bool { return cs != nil && cs.part != p.shared }
+
+// eachPartition calls fn on the shared partition, then on each quota
+// partition in its class's first-use order.
+func (p *Pool) eachPartition(fn func(*partition)) {
+	fn(p.shared)
+	for _, cs := range p.order {
+		if p.hasQuota(cs) {
+			fn(cs.part)
+		}
 	}
-	return s
 }
 
-// insert places pg into part, evicting pages if needed, and reports
-// whether an eviction happened. Evicted dirty pages are written back,
-// charged to the class that dirtied them.
-func (p *Pool) insert(part *partition, pg page) bool {
+// insert places page id, brought in by class owner, into part, evicting
+// pages if needed. It returns the page's node (nilNode when part caches
+// nothing) and whether an eviction happened. Evicted dirty pages are
+// written back, charged to the class that dirtied them.
+func (p *Pool) insert(part *partition, id uint64, owner int32) (int32, bool) {
 	if part.capacity <= 0 {
-		return false // zero-quota partition caches nothing
+		return nilNode, false // zero-quota partition caches nothing
 	}
 	evicted := false
 	for part.len() >= part.capacity {
@@ -285,18 +371,21 @@ func (p *Pool) insert(part *partition, pg page) bool {
 		p.flushIfDirty(victim)
 		evicted = true
 	}
-	part.add(pg)
-	return evicted
+	return part.add(id, owner), evicted
 }
 
 // flushIfDirty accounts the write-back of an evicted dirty page.
-func (p *Pool) flushIfDirty(victim page) {
-	if !victim.dirty {
-		return
+func (p *Pool) flushIfDirty(victim node) {
+	if victim.dirty {
+		p.flush(p.order[victim.owner])
 	}
-	p.statsFor(victim.class).Flushes++
+}
+
+// flush accounts one dirty page written back on behalf of cs.
+func (p *Pool) flush(cs *classState) {
+	cs.stats.Flushes++
 	if p.onFlush != nil {
-		p.onFlush(victim.class, 1)
+		p.onFlush(cs.name, 1)
 	}
 }
 
@@ -309,14 +398,17 @@ type AccessResult struct {
 // Write performs one logical page access that also dirties the page:
 // the page will be written back to disk when evicted.
 func (p *Pool) Write(class string, pg uint64) AccessResult {
-	res := p.Access(class, pg)
-	part := p.partitionFor(class)
-	if e, ok := part.lookup(pg); ok {
-		v := e.el.Value.(page)
-		if !v.dirty {
-			v.dirty = true
-			e.el.Value = v
+	cs := p.class(class)
+	res, i := p.access(cs, pg)
+	if res.Prefetched > 0 {
+		// Read-ahead may have evicted the page, and reused its node.
+		var ok bool
+		if i, ok = cs.part.table[pg]; !ok {
+			i = nilNode
 		}
+	}
+	if i != nilNode {
+		cs.part.nodes[i].dirty = true
 	}
 	return res
 }
@@ -325,37 +417,28 @@ func (p *Pool) Write(class string, pg uint64) AccessResult {
 // how many pages were flushed. Pages stay resident and become clean.
 func (p *Pool) FlushAll() int {
 	flushed := 0
-	for _, part := range p.parts {
-		for _, l := range []*list.List{part.young, part.old} {
-			for el := l.Front(); el != nil; el = el.Next() {
-				v := el.Value.(page)
-				if v.dirty {
-					v.dirty = false
-					el.Value = v
-					p.statsFor(v.class).Flushes++
-					if p.onFlush != nil {
-						p.onFlush(v.class, 1)
-					}
-					flushed++
-				}
+	p.eachPartition(func(part *partition) {
+		part.each(func(n *node) {
+			if n.dirty {
+				n.dirty = false
+				p.flush(p.order[n.owner])
+				flushed++
 			}
-		}
-	}
+		})
+	})
 	return flushed
 }
 
 // DirtyPages counts currently dirty resident pages.
 func (p *Pool) DirtyPages() int {
 	n := 0
-	for _, part := range p.parts {
-		for _, l := range []*list.List{part.young, part.old} {
-			for el := l.Front(); el != nil; el = el.Next() {
-				if el.Value.(page).dirty {
-					n++
-				}
+	p.eachPartition(func(part *partition) {
+		part.each(func(nd *node) {
+			if nd.dirty {
+				n++
 			}
-		}
-	}
+		})
+	})
 	return n
 }
 
@@ -363,22 +446,31 @@ func (p *Pool) DirtyPages() int {
 // whether it hit and how many pages read-ahead fetched. The miss hook is
 // called for the demand read and for the prefetch batch (if any).
 func (p *Pool) Access(class string, pg uint64) AccessResult {
-	part := p.partitionFor(class)
-	st := p.statsFor(class)
-	st.Accesses++
+	res, _ := p.access(p.class(class), pg)
+	return res
+}
+
+// access is Access for a looked-up class. It also returns pg's node as
+// the demand access left it (nilNode when the partition caches nothing);
+// read-ahead runs afterwards and may evict it.
+func (p *Pool) access(cs *classState, pg uint64) (AccessResult, int32) {
+	part := cs.part
+	cs.stats.Accesses++
 
 	var res AccessResult
-	if e, ok := part.lookup(pg); ok {
-		part.touch(e)
-		st.Hits++
+	i, ok := part.table[pg]
+	if ok {
+		part.touch(i)
+		cs.stats.Hits++
 		res.Hit = true
 	} else {
-		st.Misses++
-		if p.insert(part, page{id: pg, class: class}) {
-			st.Evictions++
+		cs.stats.Misses++
+		var evicted bool
+		if i, evicted = p.insert(part, pg, cs.idx); evicted {
+			cs.stats.Evictions++
 		}
 		if p.onMiss != nil {
-			p.onMiss(class, 1)
+			p.onMiss(cs.name, 1)
 		}
 	}
 
@@ -386,27 +478,26 @@ func (p *Pool) Access(class string, pg uint64) AccessResult {
 	// prefetch of the next ReadAheadPages pages, mirroring InnoDB's
 	// linear read-ahead.
 	if p.cfg.ReadAheadRun > 0 {
-		if last, ok := p.lastPage[class]; ok && pg == last+1 {
-			p.runLen[class]++
+		if cs.hasLastPage && pg == cs.lastPage+1 {
+			cs.runLen++
 		} else {
-			p.runLen[class] = 0
+			cs.runLen = 0
 		}
-		p.lastPage[class] = pg
-		if p.runLen[class] >= p.cfg.ReadAheadRun {
-			p.runLen[class] = 0
-			n := p.prefetch(class, pg+1, p.cfg.ReadAheadPages)
-			st.Prefetches += int64(n)
+		cs.lastPage, cs.hasLastPage = pg, true
+		if cs.runLen >= p.cfg.ReadAheadRun {
+			cs.runLen = 0
+			n := p.prefetch(cs, pg+1, p.cfg.ReadAheadPages)
+			cs.stats.Prefetches += int64(n)
 			res.Prefetched = n
 		}
 	}
-	return res
+	return res, i
 }
 
-// prefetch brings up to n pages starting at first into class's partition,
+// prefetch brings up to n pages starting at first into cs's partition,
 // skipping pages already resident, and returns how many were fetched.
-func (p *Pool) prefetch(class string, first uint64, n int) int {
-	part := p.partitionFor(class)
-	st := p.statsFor(class)
+func (p *Pool) prefetch(cs *classState, first uint64, n int) int {
+	part := cs.part
 	fetched := 0
 	for i := 0; i < n; i++ {
 		id := first + uint64(i)
@@ -416,13 +507,13 @@ func (p *Pool) prefetch(class string, first uint64, n int) int {
 		if part.capacity <= 0 {
 			break
 		}
-		if p.insert(part, page{id: id, class: class}) {
-			st.Evictions++
+		if _, evicted := p.insert(part, id, cs.idx); evicted {
+			cs.stats.Evictions++
 		}
 		fetched++
 	}
 	if fetched > 0 && p.onMiss != nil {
-		p.onMiss(class, fetched)
+		p.onMiss(cs.name, fetched)
 	}
 	return fetched
 }
@@ -430,7 +521,11 @@ func (p *Pool) prefetch(class string, first uint64, n int) int {
 // Contains reports whether page pg is resident in the partition serving
 // class.
 func (p *Pool) Contains(class string, pg uint64) bool {
-	_, ok := p.partitionFor(class).table[pg]
+	part := p.shared
+	if cs := p.classes[class]; cs != nil {
+		part = cs.part
+	}
+	_, ok := part.table[pg]
 	return ok
 }
 
@@ -438,16 +533,14 @@ func (p *Pool) Contains(class string, pg uint64) bool {
 // partitions.
 func (p *Pool) Resident() int {
 	total := 0
-	for _, part := range p.parts {
-		total += part.len()
-	}
+	p.eachPartition(func(part *partition) { total += part.len() })
 	return total
 }
 
 // Stats returns a copy of the counters for class.
 func (p *Pool) Stats(class string) Stats {
-	if s := p.stats[class]; s != nil {
-		return *s
+	if cs := p.classes[class]; cs != nil {
+		return cs.stats
 	}
 	return Stats{}
 }
@@ -456,7 +549,8 @@ func (p *Pool) Stats(class string) Stats {
 // the observability layer exposes as hit-ratio and traffic gauges.
 func (p *Pool) TotalStats() Stats {
 	var total Stats
-	for _, s := range p.stats {
+	for _, cs := range p.order {
+		s := &cs.stats
 		total.Accesses += s.Accesses
 		total.Hits += s.Hits
 		total.Misses += s.Misses
@@ -469,15 +563,17 @@ func (p *Pool) TotalStats() Stats {
 
 // ResetStats zeroes all per-class counters without touching pool contents.
 func (p *Pool) ResetStats() {
-	for _, s := range p.stats {
-		*s = Stats{}
+	for _, cs := range p.order {
+		cs.stats = Stats{}
 	}
 }
 
 // Quota reports the quota for class and whether one is set.
 func (p *Pool) Quota(class string) (int, bool) {
-	q, ok := p.quota[class]
-	return q, ok
+	if cs := p.classes[class]; p.hasQuota(cs) {
+		return cs.part.capacity, true
+	}
+	return 0, false
 }
 
 // SetQuota gives class a dedicated partition of q pages, carved out of the
@@ -487,52 +583,49 @@ func (p *Pool) Quota(class string) (int, bool) {
 // resizes its partition. An error is returned if quotas would exceed the
 // pool capacity.
 func (p *Pool) SetQuota(class string, q int) error {
-	if class == shared {
+	if class == "" {
 		return fmt.Errorf("bufferpool: empty class name is reserved")
 	}
 	if q < 0 {
 		return fmt.Errorf("bufferpool: negative quota %d for %q", q, class)
 	}
 	sum := q
-	for c, cq := range p.quota {
-		if c != class {
-			sum += cq
+	for _, cs := range p.order {
+		if cs.name != class && p.hasQuota(cs) {
+			sum += cs.part.capacity
 		}
 	}
 	if sum > p.cfg.Capacity {
 		return fmt.Errorf("bufferpool: quotas %d pages exceed capacity %d", sum, p.cfg.Capacity)
 	}
 
-	if _, had := p.quota[class]; had {
-		p.quota[class] = q
-		part := p.parts[class]
-		part.setCapacity(q, p.cfg.MidpointFraction)
-		p.shrinkToCapacity(part)
+	cs := p.class(class)
+	if p.hasQuota(cs) {
+		cs.part.setCapacity(q, p.cfg.MidpointFraction)
+		p.shrinkToCapacity(cs.part)
 	} else {
-		p.quota[class] = q
 		part := newPartition(q, p.cfg.MidpointFraction)
-		p.parts[class] = part
+		cs.part = part
 		// Migrate the class's resident pages from the shared partition,
 		// preserving recency order (walk MRU to LRU within each sublist
 		// and push to the back of the new partition's young list).
-		sh := p.parts[shared]
-		migrate := func(l *list.List) {
-			for el := l.Front(); el != nil; {
-				next := el.Next()
-				pg := el.Value.(page)
-				if pg.class == class {
-					sh.remove(pg.id)
+		sh := p.shared
+		for _, l := range [2]*sublist{&sh.young, &sh.old} {
+			for i := l.front; i != nilNode; {
+				next := sh.nodes[i].next
+				if pg := sh.nodes[i]; pg.owner == cs.idx {
+					sh.remove(i)
 					if part.len() < part.capacity {
-						part.table[pg.id] = &entry{el: part.young.PushBack(pg)}
+						j := part.alloc(pg.id, pg.owner)
+						part.nodes[j].dirty = pg.dirty
+						part.pushBack(&part.young, j)
 					} else {
 						p.flushIfDirty(pg)
 					}
 				}
-				el = next
+				i = next
 			}
 		}
-		migrate(sh.young)
-		migrate(sh.old)
 	}
 	p.rebalanceShared()
 	return nil
@@ -541,11 +634,11 @@ func (p *Pool) SetQuota(class string, q int) error {
 // RemoveQuota dissolves class's partition, returning its capacity to the
 // shared partition. The class's pages are dropped (they fault back in).
 func (p *Pool) RemoveQuota(class string) {
-	if _, ok := p.quota[class]; !ok {
+	cs := p.classes[class]
+	if !p.hasQuota(cs) {
 		return
 	}
-	delete(p.quota, class)
-	delete(p.parts, class)
+	cs.part = p.shared
 	p.rebalanceShared()
 }
 
@@ -553,12 +646,13 @@ func (p *Pool) RemoveQuota(class string) {
 // minus all quotas and evicts overflow.
 func (p *Pool) rebalanceShared() {
 	q := 0
-	for _, cq := range p.quota {
-		q += cq
+	for _, cs := range p.order {
+		if p.hasQuota(cs) {
+			q += cs.part.capacity
+		}
 	}
-	sh := p.parts[shared]
-	sh.setCapacity(p.cfg.Capacity-q, p.cfg.MidpointFraction)
-	p.shrinkToCapacity(sh)
+	p.shared.setCapacity(p.cfg.Capacity-q, p.cfg.MidpointFraction)
+	p.shrinkToCapacity(p.shared)
 }
 
 func (p *Pool) shrinkToCapacity(part *partition) {
@@ -573,12 +667,14 @@ func (p *Pool) shrinkToCapacity(part *partition) {
 
 // Quotas returns a copy of the current class → quota map.
 func (p *Pool) Quotas() map[string]int {
-	out := make(map[string]int, len(p.quota))
-	for c, q := range p.quota {
-		out[c] = q
+	out := make(map[string]int)
+	for _, cs := range p.order {
+		if p.hasQuota(cs) {
+			out[cs.name] = cs.part.capacity
+		}
 	}
 	return out
 }
 
 // SharedCapacity reports the current capacity of the shared partition.
-func (p *Pool) SharedCapacity() int { return p.parts[shared].capacity }
+func (p *Pool) SharedCapacity() int { return p.shared.capacity }

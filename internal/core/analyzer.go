@@ -14,6 +14,9 @@ import (
 type LogAnalyzer struct {
 	eng     *engine.Engine
 	samples int
+	// win is RecomputeMRC's copy of a class's window tail, reused across
+	// recomputes.
+	win []uint64
 }
 
 // NewLogAnalyzer wraps eng with the default MRC sample count.
@@ -81,12 +84,11 @@ func (a *LogAnalyzer) SetSamples(n int) {
 // parameters for a pool of serverMemory pages. It reports false when the
 // class has not yet issued enough accesses for a stationary estimate.
 func (a *LogAnalyzer) RecomputeMRC(id metrics.ClassID, serverMemory int, threshold float64) (*mrc.Curve, mrc.Params, bool) {
-	win := a.eng.Window(id)
-	if len(win) < a.samples {
+	a.win = a.eng.AppendWindow(a.win[:0], id, a.samples)
+	if len(a.win) < a.samples {
 		return nil, mrc.Params{}, false
 	}
-	win = win[len(win)-a.samples:]
-	curve := mrc.Compute(win)
+	curve := mrc.Compute(a.win)
 	return curve, curve.ParamsFor(serverMemory, threshold), true
 }
 

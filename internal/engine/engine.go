@@ -67,6 +67,9 @@ type ClassSpec struct {
 	// path (Execute emits one Record per page access) indexes a slice
 	// instead of hashing the ClassID. Engine-owned; zero until Register.
 	slot metrics.Slot
+	// key is ID.String(), the class's name in the buffer pool and lock
+	// manager, built once at Register time rather than per query.
+	key string
 }
 
 func (s *ClassSpec) validate() error {
@@ -292,6 +295,7 @@ func (e *Engine) Register(spec ClassSpec) error {
 		return err
 	}
 	spec.slot = e.collector.SlotFor(spec.ID)
+	spec.key = spec.ID.String()
 	e.classes[spec.ID] = &spec
 	if _, ok := e.windows[spec.ID]; !ok {
 		e.windows[spec.ID] = metrics.NewAccessWindow(e.cfg.WindowSize)
@@ -330,7 +334,7 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 	if !ok {
 		return now, fmt.Errorf("engine %q: query class %v not registered", e.cfg.Name, id)
 	}
-	key := id.String()
+	key := spec.key
 	win := e.windows[id]
 
 	// Service-phase span, nested under the scheduler's current span
@@ -572,13 +576,24 @@ func (e *Engine) SnapshotStats(interval float64) map[metrics.ClassID]metrics.Cla
 	return snap
 }
 
-// Window returns the recent page accesses of class id (oldest first), the
-// input to MRC recomputation.
+// Window returns a copy of the recent page accesses of class id (oldest
+// first). MRC recomputation reads only the tail it needs, through
+// AppendWindow.
 func (e *Engine) Window(id metrics.ClassID) []uint64 {
 	if w := e.windows[id]; w != nil {
 		return w.Snapshot()
 	}
 	return nil
+}
+
+// AppendWindow appends the n most recent page accesses of class id
+// (fewer when its window holds fewer), oldest first, to dst and returns
+// the extended slice.
+func (e *Engine) AppendWindow(dst []uint64, id metrics.ClassID, n int) []uint64 {
+	if w := e.windows[id]; w != nil {
+		return w.AppendTail(dst, n)
+	}
+	return dst
 }
 
 // WindowTotal reports how many page accesses class id has issued over

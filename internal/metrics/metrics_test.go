@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -385,11 +386,13 @@ func TestAccessWindowProperty(t *testing.T) {
 			start = len(vals) - capacity
 		}
 		want := vals[start:]
-		if len(got) != len(want) {
+		if !slices.Equal(got, want) {
 			return false
 		}
-		for i := range want {
-			if got[i] != want[i] {
+		// AppendTail(dst, n) appends the last min(n, retained) of them.
+		for n := 0; n <= capacity+1; n++ {
+			tail := want[max(0, len(want)-n):]
+			if !slices.Equal(w.AppendTail([]uint64{7}, n), append([]uint64{7}, tail...)) {
 				return false
 			}
 		}

@@ -38,12 +38,22 @@ func (w *AccessWindow) Total() int64 { return w.total }
 
 // Snapshot returns the retained accesses in arrival order (oldest first).
 func (w *AccessWindow) Snapshot() []uint64 {
-	out := make([]uint64, 0, w.size)
-	if w.size < len(w.buf) {
-		return append(out, w.buf[:w.size]...)
+	return w.AppendTail(make([]uint64, 0, w.size), w.size)
+}
+
+// AppendTail appends the n most recent retained accesses (all of them
+// when fewer are retained) to dst in arrival order and returns the
+// extended slice.
+func (w *AccessWindow) AppendTail(dst []uint64, n int) []uint64 {
+	n = max(0, min(n, w.size))
+	// The newest access sits just before head; while the ring has not
+	// wrapped, head == size.
+	start := w.head - n
+	if start < 0 {
+		dst = append(dst, w.buf[start+len(w.buf):]...)
+		start = 0
 	}
-	out = append(out, w.buf[w.head:]...)
-	return append(out, w.buf[:w.head]...)
+	return append(dst, w.buf[start:w.head]...)
 }
 
 // Reset discards all retained accesses but keeps the capacity.

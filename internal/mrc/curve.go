@@ -1,5 +1,7 @@
 package mrc
 
+import "sync"
+
 // Curve is a miss-ratio curve: MissRatio(m) predicts the page miss ratio
 // a query class would experience with a buffer-pool allocation of m pages.
 //
@@ -43,16 +45,22 @@ func NewCurveFromHistogram(hist []int64, cold int64) *Curve {
 	return newCurve(hist, total)
 }
 
+// computeSims holds the simulators Compute reuses, so that a recompute
+// in steady state allocates only the Curve it returns.
+var computeSims = sync.Pool{New: func() any { return NewStackSimulator() }}
+
 // Compute runs Mattson's algorithm over an access trace and returns its
 // miss-ratio curve. It is the one-shot form used when the retuning
 // controller recomputes the MRC of a problem query class from its recent
-// access window.
+// access window. The tree is sized to the whole trace, so it never
+// compacts; stack distances, and so the curve, are those of a streaming
+// StackSimulator fed the same trace.
 func Compute(trace []uint64) *Curve {
-	s := NewStackSimulator()
-	for _, p := range trace {
-		s.Access(p)
-	}
-	return s.Curve()
+	s := computeSims.Get().(*StackSimulator)
+	s.feedPresized(trace)
+	c := s.Curve()
+	computeSims.Put(s)
+	return c
 }
 
 // MaxMemory reports the largest memory size for which the curve has exact

@@ -18,6 +18,11 @@
 // one goroutine accesses, resets and reads a simulator.
 package mrc
 
+import (
+	"cmp"
+	"slices"
+)
+
 // ColdMiss is the stack distance reported for a first-ever reference to a
 // page (the paper's Hit[∞] bucket).
 const ColdMiss = -1
@@ -26,14 +31,13 @@ const ColdMiss = -1
 // references and accumulates the hit-count histogram Hit[1..n] plus the
 // cold-miss bucket Hit[∞].
 type StackSimulator struct {
-	lastSeen map[uint64]int // page -> timestamp of previous access
-	tree     []int          // Fenwick tree over timestamps; 1 = live slot
-	clock    int            // next timestamp (1-based inside tree)
-	live     int            // number of live slots (= distinct pages)
-	hist     map[int]int64  // stack distance -> hit count
-	cold     int64          // Hit[∞]
-	total    int64          // all accesses
-	maxDist  int
+	index map[uint64]int // page -> dense page number, the index into last
+	last  []int          // dense page number -> timestamp of previous access
+	tree  []int          // Fenwick tree over timestamps; 1 = live slot
+	clock int            // next timestamp (1-based inside tree)
+	hist  []int64        // hist[d-1] = hit count at stack distance d
+	cold  int64          // Hit[∞]
+	total int64          // all accesses
 	// scratch is compact's reusable sort buffer; with a stable working
 	// set, periodic compaction reaches a steady state that allocates
 	// nothing.
@@ -43,9 +47,8 @@ type StackSimulator struct {
 // NewStackSimulator returns an empty simulator.
 func NewStackSimulator() *StackSimulator {
 	return &StackSimulator{
-		lastSeen: make(map[uint64]int),
-		tree:     make([]int, 1024),
-		hist:     make(map[int]int64),
+		index: make(map[uint64]int),
+		tree:  make([]int, 1024),
 	}
 }
 
@@ -63,63 +66,40 @@ func (s *StackSimulator) sum(i int) int {
 	return total
 }
 
+// zeroed returns a zeroed slice of n ints, reusing buf's backing array
+// when it is large enough.
+func zeroed(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
 // compact rebuilds the tree when the timestamp space fills up, renumbering
 // live slots densely while preserving order. Both the sort scratch and
 // the tree are reused across compactions, so a simulator with a stable
 // working set compacts without allocating.
 func (s *StackSimulator) compact() {
 	pts := s.scratch[:0]
-	for p, t := range s.lastSeen {
-		pts = append(pts, pagetime{p, t})
+	for i, t := range s.last {
+		pts = append(pts, pagetime{i, t})
 	}
 	// Timestamps are unique, so sorting by timestamp recovers LRU order.
-	sortByTime(pts)
+	slices.SortFunc(pts, func(a, b pagetime) int { return cmp.Compare(a.t, b.t) })
 	s.scratch = pts
-	need := 2 * (len(pts) + 1)
-	if need < 1024 {
-		need = 1024
-	}
-	if cap(s.tree) >= need {
-		s.tree = s.tree[:need]
-		clear(s.tree)
-	} else {
-		s.tree = make([]int, need)
-	}
+	s.tree = zeroed(s.tree, max(2*(len(pts)+1), 1024))
 	for i := range pts {
-		s.lastSeen[pts[i].page] = i + 1
+		s.last[pts[i].page] = i + 1
 		s.add(i+1, 1)
 	}
 	s.clock = len(pts)
 }
 
 type pagetime struct {
-	page uint64
+	page int // dense page number
 	t    int
-}
-
-func sortByTime(pts []pagetime) {
-	// Simple in-place quicksort on t; avoids importing sort with an
-	// interface allocation in this hot maintenance path.
-	if len(pts) < 2 {
-		return
-	}
-	pivot := pts[len(pts)/2].t
-	left, right := 0, len(pts)-1
-	for left <= right {
-		for pts[left].t < pivot {
-			left++
-		}
-		for pts[right].t > pivot {
-			right--
-		}
-		if left <= right {
-			pts[left], pts[right] = pts[right], pts[left]
-			left++
-			right--
-		}
-	}
-	sortByTime(pts[:right+1])
-	sortByTime(pts[left:])
 }
 
 // Access records a reference to page and returns its stack distance: 1 if
@@ -133,23 +113,25 @@ func (s *StackSimulator) Access(page uint64) int {
 	}
 	s.clock++
 	t := s.clock
-	prev, seen := s.lastSeen[page]
-	dist := ColdMiss
-	if seen {
-		// Count live slots with timestamp > prev, plus this page itself.
-		dist = s.live - s.sum(prev) + 1
-		s.add(prev, -1)
-		s.live--
-		s.hist[dist]++
-		if dist > s.maxDist {
-			s.maxDist = dist
-		}
-	} else {
+	i, seen := s.index[page]
+	if !seen {
+		s.index[page] = len(s.last)
+		s.last = append(s.last, t)
+		s.add(t, 1)
 		s.cold++
+		return ColdMiss
 	}
-	s.lastSeen[page] = t
+	// Count live slots with timestamp > the previous one, plus this page
+	// itself. One slot per distinct page is live.
+	prev := s.last[i]
+	dist := len(s.last) - s.sum(prev) + 1
+	s.add(prev, -1)
 	s.add(t, 1)
-	s.live++
+	s.last[i] = t
+	for dist > len(s.hist) {
+		s.hist = append(s.hist, 0)
+	}
+	s.hist[dist-1]++
 	return dist
 }
 
@@ -160,32 +142,41 @@ func (s *StackSimulator) Total() int64 { return s.total }
 func (s *StackSimulator) ColdMisses() int64 { return s.cold }
 
 // Distinct reports the number of distinct pages referenced.
-func (s *StackSimulator) Distinct() int { return s.live }
+func (s *StackSimulator) Distinct() int { return len(s.last) }
 
 // Histogram returns a copy of Hit[1..maxDist] as a dense slice where
 // index i holds Hit[i+1].
 func (s *StackSimulator) Histogram() []int64 {
-	out := make([]int64, s.maxDist)
-	for d, n := range s.hist {
-		out[d-1] = n
-	}
+	out := make([]int64, len(s.hist))
+	copy(out, s.hist)
 	return out
 }
 
 // Curve converts the accumulated histogram into a miss-ratio curve.
 // See Curve for the representation.
 func (s *StackSimulator) Curve() *Curve {
-	return newCurve(s.Histogram(), s.total)
+	return newCurve(s.hist, s.total)
 }
 
-// Reset clears all state in place, keeping the maps' and the tree's
-// allocated capacity so a simulator reset every interval reaches a
-// steady state with no per-interval allocations.
-func (s *StackSimulator) Reset() {
-	clear(s.lastSeen)
-	for i := range s.tree {
-		s.tree[i] = 0
+// Reset clears all state in place, keeping the map's, the slices' and
+// the tree's allocated capacity so a simulator reset every interval
+// reaches a steady state with no per-interval allocations.
+func (s *StackSimulator) Reset() { s.reset(len(s.tree)) }
+
+// feedPresized resets s with a tree sized to the whole trace, so that
+// compact never runs, and feeds it the trace.
+func (s *StackSimulator) feedPresized(trace []uint64) {
+	s.reset(len(trace) + 2)
+	for _, p := range trace {
+		s.Access(p)
 	}
-	s.clock, s.live, s.cold, s.total, s.maxDist = 0, 0, 0, 0, 0
-	clear(s.hist)
+}
+
+// reset is Reset with a tree of n slots.
+func (s *StackSimulator) reset(n int) {
+	clear(s.index)
+	s.last = s.last[:0]
+	s.tree = zeroed(s.tree, n)
+	s.clock, s.cold, s.total = 0, 0, 0
+	s.hist = s.hist[:0]
 }

@@ -1,10 +1,15 @@
 package mrc
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
 
 // directLRU is a reference LRU cache used to cross-validate the stack
 // simulator: by the inclusion property, the number of hits a size-m LRU
@@ -361,5 +366,73 @@ func BenchmarkStackAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Access(z.Uint64())
+	}
+}
+
+// sameCurve fails t unless a and b are identical curves.
+func sameCurve(t *testing.T, what string, a, b *Curve) {
+	t.Helper()
+	if a.MaxMemory() != b.MaxMemory() || a.Total() != b.Total() {
+		t.Fatalf("%s: MaxMemory/Total %d/%d vs %d/%d", what, a.MaxMemory(), a.Total(), b.MaxMemory(), b.Total())
+	}
+	for m := 0; m <= a.MaxMemory(); m++ {
+		if a.MissRatio(m) != b.MissRatio(m) {
+			t.Fatalf("%s: MR(%d) = %v vs %v", what, m, a.MissRatio(m), b.MissRatio(m))
+		}
+	}
+}
+
+// TestComputeMatchesCompactingStream pins that Compute, which sizes its
+// tree to the trace and never compacts, produces exactly what a
+// streaming simulator that compacts many times produces, including
+// when its pooled simulator last ran a longer or a shorter trace.
+func TestComputeMatchesCompactingStream(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	z := rand.NewZipf(rng, 1.1, 1, 3000)
+	trace := make([]uint64, 30000)
+	for i := range trace {
+		trace[i] = z.Uint64()
+	}
+	stream := NewStackSimulator()
+	for _, p := range trace {
+		stream.Access(p)
+	}
+	if cap(stream.scratch) == 0 {
+		t.Fatal("streaming simulator never compacted; lengthen the trace")
+	}
+	presized := NewStackSimulator()
+	presized.feedPresized(trace)
+	if cap(presized.scratch) != 0 {
+		t.Fatal("presized simulator compacted")
+	}
+	if !slices.Equal(presized.Histogram(), stream.Histogram()) {
+		t.Fatal("presized histogram differs from the streaming one")
+	}
+	if presized.ColdMisses() != stream.ColdMisses() || presized.Total() != stream.Total() {
+		t.Fatalf("cold/total %d/%d, streaming %d/%d",
+			presized.ColdMisses(), presized.Total(), stream.ColdMisses(), stream.Total())
+	}
+	want := stream.Curve()
+	for _, prior := range [][]uint64{trace, append(slices.Clone(trace), trace...), trace[:100], nil} {
+		Compute(prior)
+		sameCurve(t, fmt.Sprintf("after a %d-access Compute", len(prior)), Compute(trace), want)
+	}
+}
+
+// TestComputeAllocatesOnlyTheCurve pins scratch reuse: a warmed Compute
+// allocates the Curve it returns and its miss-ratio slice, nothing else.
+func TestComputeAllocatesOnlyTheCurve(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(29))
+	z := rand.NewZipf(rng, 1.1, 1, 5000)
+	trace := make([]uint64, 49152)
+	for i := range trace {
+		trace[i] = z.Uint64()
+	}
+	Compute(trace)
+	if allocs := testing.AllocsPerRun(10, func() { Compute(trace) }); allocs > 2 {
+		t.Errorf("warmed Compute allocates %.1f objects, want at most 2 (the Curve and its slice)", allocs)
 	}
 }
