@@ -65,6 +65,34 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestClassesSorted pins Classes to ID.String() order on every call:
+// memory diagnosis merges the classes' access windows in this order, so
+// map order would make its output vary from run to run.
+func TestClassesSorted(t *testing.T) {
+	e := newTestEngine(t, 100)
+	// "a-b/x" sorts before "a/x" by String() but after it by App alone.
+	for _, id := range []metrics.ClassID{
+		{App: "shop", Class: "Search"}, {App: "a", Class: "x"}, {App: "a-b", Class: "x"},
+		{App: "shop", Class: "Buy"}, {App: "auction", Class: "Bid"}, {App: "a", Class: "w"},
+	} {
+		if err := e.Register(ClassSpec{ID: id, CPUPerQuery: 0.01}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"a-b/x", "a/w", "a/x", "auction/Bid", "shop/Buy", "shop/Search"}
+	for i := 0; i < 50; i++ {
+		got := e.Classes()
+		if len(got) != len(want) {
+			t.Fatalf("Classes = %v", got)
+		}
+		for k, id := range got {
+			if id.String() != want[k] {
+				t.Fatalf("call %d: Classes = %v, want %v", i, got, want)
+			}
+		}
+	}
+}
+
 func TestExecuteUnknownClass(t *testing.T) {
 	e := newTestEngine(t, 100)
 	if _, err := e.Execute(0, best); err == nil {
