@@ -66,7 +66,7 @@ func runDifferential(t *testing.T, cfg Config, classes []string, seed int64, ops
 		case r < 55:
 			pg := nextPage(class)
 			what = fmt.Sprintf("Access(%q, %d)", class, pg)
-			if g, w := got.Access(class, pg), want.Access(class, pg); g != w {
+			if g, w := got.Access(got.Class(class), pg), want.Access(class, pg); g != w {
 				t.Fatalf("op %d %s = %+v, reference %+v", op, what, g, w)
 			}
 			if g, w := got.Contains(class, pg), want.Contains(class, pg); g != w {
@@ -75,7 +75,7 @@ func runDifferential(t *testing.T, cfg Config, classes []string, seed int64, ops
 		case r < 85:
 			pg := nextPage(class)
 			what = fmt.Sprintf("Write(%q, %d)", class, pg)
-			if g, w := got.Write(class, pg), want.Write(class, pg); g != w {
+			if g, w := got.Write(got.Class(class), pg), want.Write(class, pg); g != w {
 				t.Fatalf("op %d %s = %+v, reference %+v", op, what, g, w)
 			}
 		case r < 93:

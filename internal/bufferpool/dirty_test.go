@@ -4,17 +4,17 @@ import "testing"
 
 func TestWriteMarksDirty(t *testing.T) {
 	p := MustNew(Config{Capacity: 10})
-	p.Write("w", 1)
+	p.Write(p.Class("w"), 1)
 	if p.DirtyPages() != 1 {
 		t.Fatalf("dirty = %d, want 1", p.DirtyPages())
 	}
 	// Re-reading does not clean the page.
-	p.Access("w", 1)
+	p.Access(p.Class("w"), 1)
 	if p.DirtyPages() != 1 {
 		t.Fatal("read cleaned a dirty page")
 	}
 	// Writing an already-dirty page stays one dirty page.
-	p.Write("w", 1)
+	p.Write(p.Class("w"), 1)
 	if p.DirtyPages() != 1 {
 		t.Fatal("double write double-counted")
 	}
@@ -24,9 +24,9 @@ func TestEvictingDirtyPageFlushes(t *testing.T) {
 	p := MustNew(Config{Capacity: 2})
 	flushes := map[string]int{}
 	p.OnFlush(func(class string, pages int) { flushes[class] += pages })
-	p.Write("w", 1)
-	p.Access("r", 2)
-	p.Access("r", 3) // evicts page 1 (dirty, owned by w)
+	p.Write(p.Class("w"), 1)
+	p.Access(p.Class("r"), 2)
+	p.Access(p.Class("r"), 3) // evicts page 1 (dirty, owned by w)
 	if flushes["w"] != 1 {
 		t.Fatalf("flush hook saw %v", flushes)
 	}
@@ -34,7 +34,7 @@ func TestEvictingDirtyPageFlushes(t *testing.T) {
 		t.Fatalf("Flushes stat = %d", p.Stats("w").Flushes)
 	}
 	// Clean evictions do not flush.
-	p.Access("r", 4)
+	p.Access(p.Class("r"), 4)
 	if flushes["r"] != 0 {
 		t.Fatal("clean eviction flushed")
 	}
@@ -43,7 +43,7 @@ func TestEvictingDirtyPageFlushes(t *testing.T) {
 func TestFlushAllCleansEverything(t *testing.T) {
 	p := MustNew(Config{Capacity: 100})
 	for pg := uint64(0); pg < 20; pg++ {
-		p.Write("w", pg)
+		p.Write(p.Class("w"), pg)
 	}
 	total := 0
 	p.OnFlush(func(_ string, n int) { total += n })
@@ -72,7 +72,7 @@ func TestQuotaShrinkFlushesDirtyVictims(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pg := uint64(0); pg < 50; pg++ {
-		p.Write("w", pg)
+		p.Write(p.Class("w"), pg)
 	}
 	flushed := 0
 	p.OnFlush(func(_ string, n int) { flushed += n })
@@ -89,7 +89,7 @@ func TestDirtyWithMidpointInsertion(t *testing.T) {
 	flushed := 0
 	p.OnFlush(func(_ string, n int) { flushed += n })
 	for pg := uint64(0); pg < 100; pg++ {
-		p.Write("w", pg)
+		p.Write(p.Class("w"), pg)
 	}
 	if flushed != 100-p.Resident() {
 		t.Fatalf("flushed %d, want %d (every evicted page was dirty)", flushed, 100-p.Resident())

@@ -10,7 +10,7 @@ import (
 func warmHot(p *Pool, class string, n uint64) {
 	for round := 0; round < 2; round++ {
 		for pg := uint64(0); pg < n; pg++ {
-			p.Access(class, pg)
+			p.Access(p.Class(class), pg)
 		}
 	}
 }
@@ -23,11 +23,11 @@ func TestMidpointScanResistance(t *testing.T) {
 		p := MustNew(Config{Capacity: 1000, MidpointFraction: midpoint})
 		warmHot(p, "hot", 400)
 		for pg := uint64(100000); pg < 103000; pg++ {
-			p.Access("scan", pg)
+			p.Access(p.Class("scan"), pg)
 		}
 		p.ResetStats()
 		for pg := uint64(0); pg < 400; pg++ {
-			p.Access("hot", pg)
+			p.Access(p.Class("hot"), pg)
 		}
 		return p.Stats("hot").HitRatio()
 	}
@@ -44,15 +44,15 @@ func TestMidpointScanResistance(t *testing.T) {
 func TestMidpointPromotionOnSecondAccess(t *testing.T) {
 	p := MustNew(Config{Capacity: 100, MidpointFraction: 0.5})
 	// First access inserts into the old sublist; page is resident.
-	p.Access("a", 1)
+	p.Access(p.Class("a"), 1)
 	if !p.Contains("a", 1) {
 		t.Fatal("page not resident after first access")
 	}
 	// Second access promotes it. Then flooding the old sublist with new
 	// pages must not evict the promoted page.
-	p.Access("a", 1)
+	p.Access(p.Class("a"), 1)
 	for pg := uint64(1000); pg < 1080; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	if !p.Contains("a", 1) {
 		t.Fatal("promoted page evicted by old-sublist churn")
@@ -63,12 +63,12 @@ func TestMidpointUnpromotedPagesEvictFirst(t *testing.T) {
 	p := MustNew(Config{Capacity: 10, MidpointFraction: 0.5})
 	// Promote pages 1..5 into young.
 	for pg := uint64(1); pg <= 5; pg++ {
-		p.Access("a", pg)
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
+		p.Access(p.Class("a"), pg)
 	}
 	// Stream 20 once-accessed pages through: they churn the old sublist.
 	for pg := uint64(100); pg < 120; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	for pg := uint64(1); pg <= 5; pg++ {
 		if !p.Contains("a", pg) {
@@ -81,7 +81,7 @@ func TestMidpointOccupancyNeverExceedsCapacity(t *testing.T) {
 	p := MustNew(Config{Capacity: 50, MidpointFraction: 0.375})
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
-		p.Access("a", uint64(rng.Intn(500)))
+		p.Access(p.Class("a"), uint64(rng.Intn(500)))
 		if p.Resident() > 50 {
 			t.Fatalf("resident %d exceeds capacity at access %d", p.Resident(), i)
 		}
@@ -95,7 +95,7 @@ func TestMidpointWithQuotaPartitions(t *testing.T) {
 	}
 	// Quota'd partition inherits the midpoint policy and its capacity.
 	for pg := uint64(0); pg < 1000; pg++ {
-		p.Access("q", pg)
+		p.Access(p.Class("q"), pg)
 	}
 	resident := 0
 	for pg := uint64(0); pg < 1000; pg++ {
@@ -109,11 +109,11 @@ func TestMidpointWithQuotaPartitions(t *testing.T) {
 	// Hot pages inside the partition survive its own scans.
 	warmHot(p, "q", 30)
 	for pg := uint64(5000); pg < 5300; pg++ {
-		p.Access("q", pg)
+		p.Access(p.Class("q"), pg)
 	}
 	p.ResetStats()
 	for pg := uint64(0); pg < 30; pg++ {
-		p.Access("q", pg)
+		p.Access(p.Class("q"), pg)
 	}
 	if hr := p.Stats("q").HitRatio(); hr < 0.8 {
 		t.Fatalf("hot set in midpoint partition lost: hit ratio %.2f", hr)
@@ -123,7 +123,7 @@ func TestMidpointWithQuotaPartitions(t *testing.T) {
 func TestMidpointFractionClamped(t *testing.T) {
 	p := MustNew(Config{Capacity: 10, MidpointFraction: 3.0})
 	for pg := uint64(0); pg < 100; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	if p.Resident() > 10 {
 		t.Fatalf("resident %d with clamped fraction", p.Resident())
@@ -136,11 +136,11 @@ func TestMidpointReadAheadIntoOldSublist(t *testing.T) {
 		ReadAheadRun: 4, ReadAheadPages: 32})
 	warmHot(p, "hot", 100)
 	for pg := uint64(10000); pg < 10600; pg++ {
-		p.Access("scan", pg)
+		p.Access(p.Class("scan"), pg)
 	}
 	p.ResetStats()
 	for pg := uint64(0); pg < 100; pg++ {
-		p.Access("hot", pg)
+		p.Access(p.Class("hot"), pg)
 	}
 	if hr := p.Stats("hot").HitRatio(); hr < 0.8 {
 		t.Fatalf("read-ahead churn displaced hot set: hit ratio %.2f", hr)

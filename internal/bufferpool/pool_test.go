@@ -17,10 +17,10 @@ func TestNewRejectsBadCapacity(t *testing.T) {
 
 func TestBasicHitMiss(t *testing.T) {
 	p := MustNew(Config{Capacity: 2})
-	if r := p.Access("a", 1); r.Hit {
+	if r := p.Access(p.Class("a"), 1); r.Hit {
 		t.Fatal("first access hit")
 	}
-	if r := p.Access("a", 1); !r.Hit {
+	if r := p.Access(p.Class("a"), 1); !r.Hit {
 		t.Fatal("second access missed")
 	}
 	st := p.Stats("a")
@@ -31,10 +31,10 @@ func TestBasicHitMiss(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	p := MustNew(Config{Capacity: 2})
-	p.Access("a", 1)
-	p.Access("a", 2)
-	p.Access("a", 1) // 1 is now MRU, 2 is LRU
-	p.Access("a", 3) // evicts 2
+	p.Access(p.Class("a"), 1)
+	p.Access(p.Class("a"), 2)
+	p.Access(p.Class("a"), 1) // 1 is now MRU, 2 is LRU
+	p.Access(p.Class("a"), 3) // evicts 2
 	if !p.Contains("a", 1) {
 		t.Error("MRU page 1 evicted")
 	}
@@ -58,7 +58,7 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 			if i%3 == 0 {
 				class = "b"
 			}
-			p.Access(class, uint64(pg))
+			p.Access(p.Class(class), uint64(pg))
 			if p.Resident() > capacity {
 				return false
 			}
@@ -75,14 +75,14 @@ func TestSharedPoolInterference(t *testing.T) {
 	// in a shared pool — the §5.4 phenomenon.
 	p := MustNew(Config{Capacity: 100})
 	for pg := uint64(0); pg < 50; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	for pg := uint64(1000); pg < 1200; pg++ {
-		p.Access("b", pg)
+		p.Access(p.Class("b"), pg)
 	}
 	p.ResetStats()
 	for pg := uint64(0); pg < 50; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	if hr := p.Stats("a").HitRatio(); hr > 0.1 {
 		t.Fatalf("class a hit ratio %.2f after interference, want ~0", hr)
@@ -96,15 +96,15 @@ func TestQuotaIsolatesClass(t *testing.T) {
 	}
 	// Warm a's partition.
 	for pg := uint64(0); pg < 50; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	// b's scan can only use the 40-page shared remainder.
 	for pg := uint64(1000); pg < 1500; pg++ {
-		p.Access("b", pg)
+		p.Access(p.Class("b"), pg)
 	}
 	p.ResetStats()
 	for pg := uint64(0); pg < 50; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	if hr := p.Stats("a").HitRatio(); hr != 1.0 {
 		t.Fatalf("quota'd class hit ratio %.2f, want 1.0", hr)
@@ -120,7 +120,7 @@ func TestQuotaPartitionNeverExceedsQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pg := uint64(0); pg < 1000; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	resident := 0
 	for pg := uint64(0); pg < 1000; pg++ {
@@ -136,14 +136,14 @@ func TestQuotaPartitionNeverExceedsQuota(t *testing.T) {
 func TestQuotaMigratesResidentPages(t *testing.T) {
 	p := MustNew(Config{Capacity: 100})
 	for pg := uint64(0); pg < 20; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	if err := p.SetQuota("a", 30); err != nil {
 		t.Fatal(err)
 	}
 	p.ResetStats()
 	for pg := uint64(0); pg < 20; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	if hr := p.Stats("a").HitRatio(); hr != 1.0 {
 		t.Fatalf("pages not migrated into new partition: hit ratio %.2f", hr)
@@ -175,7 +175,7 @@ func TestQuotaResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pg := uint64(0); pg < 50; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	if err := p.SetQuota("a", 10); err != nil {
 		t.Fatal(err)
@@ -214,8 +214,8 @@ func TestZeroQuotaCachesNothing(t *testing.T) {
 	if err := p.SetQuota("a", 0); err != nil {
 		t.Fatal(err)
 	}
-	p.Access("a", 1)
-	if r := p.Access("a", 1); r.Hit {
+	p.Access(p.Class("a"), 1)
+	if r := p.Access(p.Class("a"), 1); r.Hit {
 		t.Fatal("zero-quota class got a hit")
 	}
 }
@@ -224,7 +224,7 @@ func TestReadAheadTriggersAfterSequentialRun(t *testing.T) {
 	p := MustNew(Config{Capacity: 1000, ReadAheadRun: 4, ReadAheadPages: 8})
 	var prefetched int
 	for pg := uint64(0); pg < 10; pg++ {
-		r := p.Access("scan", pg)
+		r := p.Access(p.Class("scan"), pg)
 		prefetched += r.Prefetched
 	}
 	if prefetched == 0 {
@@ -243,7 +243,7 @@ func TestReadAheadTriggersAfterSequentialRun(t *testing.T) {
 func TestReadAheadMakesLaterAccessesHit(t *testing.T) {
 	p := MustNew(Config{Capacity: 1000, ReadAheadRun: 2, ReadAheadPages: 16})
 	for pg := uint64(0); pg < 40; pg++ {
-		p.Access("scan", pg)
+		p.Access(p.Class("scan"), pg)
 	}
 	st := p.Stats("scan")
 	if st.Hits == 0 {
@@ -259,7 +259,7 @@ func TestRandomAccessNeverTriggersReadAhead(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		pg := uint64(rng.Intn(10000)) * 3 // never consecutive
-		if r := p.Access("rand", pg); r.Prefetched > 0 {
+		if r := p.Access(p.Class("rand"), pg); r.Prefetched > 0 {
 			t.Fatal("read-ahead fired on non-sequential access")
 		}
 	}
@@ -268,7 +268,7 @@ func TestRandomAccessNeverTriggersReadAhead(t *testing.T) {
 func TestReadAheadDisabledByDefault(t *testing.T) {
 	p := MustNew(Config{Capacity: 100})
 	for pg := uint64(0); pg < 50; pg++ {
-		if r := p.Access("scan", pg); r.Prefetched > 0 {
+		if r := p.Access(p.Class("scan"), pg); r.Prefetched > 0 {
 			t.Fatal("read-ahead fired with ReadAheadRun=0")
 		}
 	}
@@ -279,7 +279,7 @@ func TestOnMissHookCountsIO(t *testing.T) {
 	io := map[string]int{}
 	p.OnMiss(func(class string, pages int) { io[class] += pages })
 	for pg := uint64(0); pg < 10; pg++ {
-		p.Access("a", pg)
+		p.Access(p.Class("a"), pg)
 	}
 	st := p.Stats("a")
 	want := int(st.Misses + st.Prefetches)
@@ -307,7 +307,7 @@ func TestPartitionedMatchesExclusiveForDisjointClasses(t *testing.T) {
 	alone := func(tr []uint64, capacity int) float64 {
 		p := MustNew(Config{Capacity: capacity})
 		for _, pg := range tr {
-			p.Access("x", pg)
+			p.Access(p.Class("x"), pg)
 		}
 		return p.Stats("x").HitRatio()
 	}
@@ -322,8 +322,8 @@ func TestPartitionedMatchesExclusiveForDisjointClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(ta); i++ {
-		p.Access("a", ta[i])
-		p.Access("b", tb[i])
+		p.Access(p.Class("a"), ta[i])
+		p.Access(p.Class("b"), tb[i])
 	}
 	if got := p.Stats("a").HitRatio(); got != wantA {
 		t.Errorf("partitioned a = %.4f, exclusive = %.4f", got, wantA)
@@ -339,6 +339,6 @@ func BenchmarkAccessShared(b *testing.B) {
 	z := rand.NewZipf(rng, 1.2, 1, 1<<15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Access("a", z.Uint64())
+		p.Access(p.Class("a"), z.Uint64())
 	}
 }

@@ -33,11 +33,13 @@ func TestRecomputeMRCWrappedWindow(t *testing.T) {
 	const samples = 600
 	a.SetSamples(samples)
 	now := 0.0
+	var issued int64 // page accesses so far: 7 per query
 	runUntil := func(total int64) {
-		for eng.WindowTotal(id) < total {
+		for issued < total {
 			if _, err := eng.Execute(now, id); err != nil {
 				t.Fatal(err)
 			}
+			issued += 7
 			now++
 		}
 	}

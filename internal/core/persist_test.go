@@ -23,7 +23,6 @@ func TestSignatureStoreSaveLoadRoundTrip(t *testing.T) {
 		TotalMemory: 7200, AcceptableMemory: 6982,
 		IdealMissRatio: 0.06, AcceptableMissRatio: 0.08,
 	})
-	sig.MRCSampleCount[cid("BestSeller")] = 49152
 	// A class with MRC params but no metric vector (recorded at first
 	// scheduling, before a stable interval).
 	other := st.Get("rubis", "db2")
@@ -53,9 +52,6 @@ func TestSignatureStoreSaveLoadRoundTrip(t *testing.T) {
 	p, has := got.MRC[cid("BestSeller")]
 	if !has || p.AcceptableMemory != 6982 || p.IdealMissRatio != 0.06 {
 		t.Fatalf("MRC params = %+v", p)
-	}
-	if got.MRCSampleCount[cid("BestSeller")] != 49152 {
-		t.Fatalf("sample count = %d", got.MRCSampleCount[cid("BestSeller")])
 	}
 	o, ok := loaded.Lookup("rubis", "db2")
 	if !ok {
@@ -218,4 +214,111 @@ func TestSignatureStoreSaveLoadFile(t *testing.T) {
 	if _, ok := loaded.Lookup("tpcw", "db1"); !ok {
 		t.Fatal("corrupt load wiped the store")
 	}
+}
+
+// legacySamplesJSON is a version-1 document as Save wrote it while
+// stable MRCs were still refreshed: every class with MRC parameters also
+// carries a "samples" count.
+const legacySamplesJSON = `{
+  "version": 1,
+  "signatures": [
+    {
+      "app": "tpcw",
+      "server": "db1",
+      "recorded_at": 123.5,
+      "classes": [
+        {
+          "app": "tpcw",
+          "class": "BestSeller",
+          "metrics": [0.5, 0, 42, 0, 0, 0, 0],
+          "mrc": {"TotalMemory": 7200, "IdealMissRatio": 0.06, "AcceptableMemory": 6982, "AcceptableMissRatio": 0.08},
+          "samples": 49152
+        },
+        {
+          "app": "tpcw",
+          "class": "Home",
+          "metrics": null,
+          "mrc": {"TotalMemory": 900, "IdealMissRatio": 0.01, "AcceptableMemory": 512, "AcceptableMissRatio": 0.03},
+          "samples": 98304
+        }
+      ]
+    }
+  ]
+}
+`
+
+func TestSignatureStoreLoadsLegacySamples(t *testing.T) {
+	st := NewSignatureStore()
+	if err := st.Load(strings.NewReader(legacySamplesJSON)); err != nil {
+		t.Fatal(err)
+	}
+	sig, ok := st.Lookup("tpcw", "db1")
+	if !ok {
+		t.Fatal("signature missing after load")
+	}
+	want := map[metrics.ClassID]mrc.Params{
+		cid("BestSeller"): {TotalMemory: 7200, IdealMissRatio: 0.06, AcceptableMemory: 6982, AcceptableMissRatio: 0.08},
+		cid("Home"):       {TotalMemory: 900, IdealMissRatio: 0.01, AcceptableMemory: 512, AcceptableMissRatio: 0.03},
+	}
+	if len(sig.MRC) != len(want) {
+		t.Fatalf("MRC params = %+v, want %+v", sig.MRC, want)
+	}
+	for id, p := range want {
+		if sig.MRC[id] != p {
+			t.Fatalf("MRC params of %v = %+v, want %+v", id, sig.MRC[id], p)
+		}
+	}
+	if v := sig.Metrics[cid("BestSeller")]; v.Get(metrics.BufferMisses) != 42 {
+		t.Fatalf("metrics vector = %+v", v)
+	}
+	var buf bytes.Buffer
+	if err := st.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "samples") {
+		t.Fatalf("Save still writes sample counts:\n%s", buf.String())
+	}
+}
+
+// FuzzSignatureStoreLoad checks Load's contract on arbitrary input: it
+// either fails with a *LoadError and leaves the store as it was, or
+// succeeds, and then Save→Load→Save reproduces the saved bytes. The
+// seed corpus lives in testdata/fuzz/FuzzSignatureStoreLoad.
+func FuzzSignatureStoreLoad(f *testing.F) {
+	save := func(t *testing.T, st *SignatureStore) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := st.Save(&buf); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		return buf.String()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st := NewSignatureStore()
+		var v metrics.Vector
+		v.Set(metrics.PageAccesses, 99)
+		keep := st.Get("keep", "db9")
+		keep.UpdateMetrics(5, map[metrics.ClassID]metrics.Vector{{App: "keep", Class: "K"}: v})
+		keep.SetMRC(metrics.ClassID{App: "keep", Class: "K"}, mrc.Params{TotalMemory: 64, AcceptableMemory: 32})
+		before := save(t, st)
+
+		if err := st.Load(bytes.NewReader(data)); err != nil {
+			var le *LoadError
+			if !errors.As(err, &le) {
+				t.Fatalf("error %v (%T) is not a *LoadError", err, err)
+			}
+			if after := save(t, st); after != before {
+				t.Fatalf("failed load changed the store:\nbefore %s\nafter %s", before, after)
+			}
+			return
+		}
+		first := save(t, st)
+		again := NewSignatureStore()
+		if err := again.Load(strings.NewReader(first)); err != nil {
+			t.Fatalf("reloading a saved store: %v\n%s", err, first)
+		}
+		if second := save(t, again); second != first {
+			t.Fatalf("Save→Load→Save changed the bytes:\nfirst %s\nsecond %s", first, second)
+		}
+	})
 }

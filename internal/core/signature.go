@@ -9,17 +9,14 @@ import (
 // one server: the average value of every monitored metric for every query
 // class during the most recent measurement interval in which the
 // application's SLA was continuously met, plus the MRC parameters of each
-// class (computed when the class was first scheduled and only recomputed
-// on demand after a violation).
+// class. As in the paper, a class's MRC is computed once, when the class
+// is first scheduled on the server and has issued enough accesses for an
+// estimate, and recomputed only by diagnosis after an SLA violation.
 type Signature struct {
 	// Metrics holds per-class stable metric vectors.
 	Metrics map[metrics.ClassID]metrics.Vector
 	// MRC holds per-class stable miss-ratio-curve parameters.
 	MRC map[metrics.ClassID]mrc.Params
-	// MRCSampleCount records how many page accesses the class had issued
-	// when its stable MRC parameters were last computed, so refreshes can
-	// be rationed to substantially-new windows.
-	MRCSampleCount map[metrics.ClassID]int64
 	// RecordedAt is the virtual time the metric vectors were last
 	// refreshed.
 	RecordedAt float64
@@ -28,9 +25,8 @@ type Signature struct {
 // NewSignature returns an empty signature.
 func NewSignature() *Signature {
 	return &Signature{
-		Metrics:        make(map[metrics.ClassID]metrics.Vector),
-		MRC:            make(map[metrics.ClassID]mrc.Params),
-		MRCSampleCount: make(map[metrics.ClassID]int64),
+		Metrics: make(map[metrics.ClassID]metrics.Vector),
+		MRC:     make(map[metrics.ClassID]mrc.Params),
 	}
 }
 

@@ -62,7 +62,7 @@ func replay(pool *bufferpool.Pool, tr trace.Trace, warmFrac float64) (best, rest
 		if i == warm {
 			pool.ResetStats()
 		}
-		pool.Access(a.Class, a.Page)
+		pool.Access(pool.Class(a.Class), a.Page)
 	}
 	return 100 * pool.Stats(bestKey).HitRatio(), 100 * pool.Stats(restKey).HitRatio()
 }

@@ -214,12 +214,20 @@ func New(cfg Config, o obs.Observer) *Watchdog {
 func (w *Watchdog) SetTracer(t *obs.Tracer) { w.tracer = t }
 
 // Stats reports lifetime counters. Safe for concurrent use.
+//
+// Every action increments actions, later suspects if it is judged
+// harmful, and then reverts if it is rolled back, so the counters keep
+// reverts ≤ suspects ≤ actions. Loading them in the reverse order keeps
+// that invariant in the returned snapshot: each counter is read no
+// earlier than the one it bounds, and counters only grow.
 func (w *Watchdog) Stats() Stats {
+	reverts := w.reverts.Load()
+	suspects := w.suspects.Load()
 	return Stats{
 		Actions:  w.actions.Load(),
 		Vetoes:   w.vetoes.Load(),
-		Suspects: w.suspects.Load(),
-		Reverts:  w.reverts.Load(),
+		Suspects: suspects,
+		Reverts:  reverts,
 		Trips:    w.trips.Load(),
 	}
 }

@@ -9,10 +9,15 @@ package metrics
 // RecordKind distinguishes the events written to a log buffer.
 type RecordKind uint8
 
-// The event kinds a database thread logs.
+// The event kinds a database thread logs. Page accesses are logged as
+// per-query counts, not one record per page: the collector only counts
+// them, and the page numbers themselves reach MRC recomputation through
+// the class's AccessWindow. Count values are integers, so folding them
+// is exact.
 const (
 	RecQuery     RecordKind = iota // a completed query; Value = latency seconds
-	RecAccess                      // a page access; Value = page number, Miss set
+	RecAccess                      // one query's logical page accesses; Value = count
+	RecMiss                        // one query's buffer-pool misses; Value = count
 	RecIO                          // an I/O block request batch; Value = count
 	RecReadAhead                   // a prefetch batch; Value = count
 	RecLockWait                    // a lock acquisition; Value = wait seconds
@@ -25,7 +30,6 @@ const (
 // map.
 type Record struct {
 	Kind  RecordKind
-	Miss  bool
 	Slot  Slot
 	Class ClassID
 	Value float64

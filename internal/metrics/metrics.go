@@ -131,10 +131,9 @@ func (a *classAccum) fold(r Record) {
 		}
 		a.latencies.Observe(r.Value)
 	case RecAccess:
-		a.accesses++
-		if r.Miss {
-			a.misses++
-		}
+		a.accesses += int64(r.Value)
+	case RecMiss:
+		a.misses += int64(r.Value)
 	case RecIO:
 		a.ioReqs += int64(r.Value)
 	case RecReadAhead:
@@ -260,11 +259,15 @@ func (c *Collector) RecordQuery(id ClassID, latency float64) {
 }
 
 // RecordAccess records a logical page access; miss reports whether it
-// missed in the buffer pool.
+// missed in the buffer pool. It logs the same count records a query's
+// accesses produce: one access, plus one miss when it missed.
 func (c *Collector) RecordAccess(id ClassID, miss bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.apply(Record{Kind: RecAccess, Class: id, Miss: miss})
+	c.apply(Record{Kind: RecAccess, Class: id, Value: 1})
+	if miss {
+		c.apply(Record{Kind: RecMiss, Class: id, Value: 1})
+	}
 }
 
 // RecordLockWait records seconds spent waiting for a lock on behalf of
