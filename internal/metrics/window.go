@@ -5,10 +5,9 @@ package metrics
 // the DBMS on behalf of the queries belonging to each specific query
 // class"). MRC recomputation upon an SLA violation replays this window.
 type AccessWindow struct {
-	buf   []uint64
-	head  int
-	size  int
-	total int64
+	buf  []uint64
+	head int
+	size int
 }
 
 // NewAccessWindow returns a window holding up to capacity page numbers
@@ -27,14 +26,10 @@ func (w *AccessWindow) Add(page uint64) {
 	if w.size < len(w.buf) {
 		w.size++
 	}
-	w.total++
 }
 
 // Len reports the number of accesses currently retained.
 func (w *AccessWindow) Len() int { return w.size }
-
-// Total reports the number of accesses ever added.
-func (w *AccessWindow) Total() int64 { return w.total }
 
 // Snapshot returns the retained accesses in arrival order (oldest first).
 func (w *AccessWindow) Snapshot() []uint64 {
