@@ -42,13 +42,25 @@ go test -short -run TestChaosSmoke -count=1 ./internal/experiments/
 # smoke above.
 go test -short -run 'TestOverloadProtection|TestOverloadDeterminism' -count=1 ./internal/experiments/
 
-# Event-core determinism smoke: run the §5.3 diagnosis scenario twice
-# through the discrete-event core under 2 pinned seeds (short mode) and
-# require byte-identical metrics snapshots and span trees, plus the
-# inline-path identity and phase-traffic checks. The full 3-seed sweep
-# and the double Figure-3 on/off comparison already ran above; this rerun
-# pins the operator-facing invocation. See DESIGN.md §10.
+# Event-core smoke: TestEventCoreDeterminism runs the §5.3 diagnosis
+# scenario twice through the discrete-event core under 2 pinned seeds
+# (short mode) and requires byte-identical metrics snapshots and span
+# trees; TestEventCorePhaseTraffic requires the engines to commit every
+# service phase through their event queues. The full 3-seed sweep
+# already ran above; this rerun pins the operator-facing invocation. See
+# DESIGN.md §10.
 go test -short -run TestEventCore -count=1 ./internal/experiments/
+
+# Example programs: every examples/* program must run to completion.
+# indexdrop is the one program outside internal/experiments that builds
+# a core.Controller, and its run must show the controller enforcing a
+# buffer-pool quota.
+BENCH_TMP="$(mktemp -d)"
+trap 'rm -rf "$BENCH_TMP"' EXIT
+for ex in examples/*/; do
+	go run "./$ex" >"$BENCH_TMP/example_$(basename "$ex").txt"
+done
+grep -q enforce-quota "$BENCH_TMP/example_indexdrop.txt"
 
 # Performance regression gate: run the suite in short mode and compare
 # against the committed seed baseline at ±30% — wide enough to absorb
@@ -56,8 +68,6 @@ go test -short -run TestEventCore -count=1 ./internal/experiments/
 # quadratic. benchrunner itself skips the comparison (exit 0, with a
 # notice) when the host is too noisy to gate, so a loaded CI runner
 # degrades to a warning instead of a flaky failure. See PERFORMANCE.md.
-BENCH_TMP="$(mktemp -d)"
-trap 'rm -rf "$BENCH_TMP"' EXIT
 go run ./cmd/benchrunner -suite.short -out "$BENCH_TMP/BENCH_ci.json" -baseline BENCH_0.json -tol 0.30
 
 # Benchmark module: perfbench is a Go module of its own (replace

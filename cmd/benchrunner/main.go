@@ -64,7 +64,6 @@ func main() {
 	runOut := flag.String("run.out", "",
 		"flush a RUN_*.json flight recording (metric time series + sampled traces) to FILE on completion")
 	pprof := flag.Bool("obs.pprof", false, "mount net/http/pprof under /debug/pprof/ on -obs.addr")
-	eventCore := obscli.EventCoreFlag()
 	ctrlFlags := obscli.RegisterCtrlFlags()
 	wlFlags := obscli.RegisterWlFlags()
 	flag.Parse()
@@ -77,18 +76,10 @@ func main() {
 				"benchrunner: -trace.sample, -run.out, -obs.pprof and -obs.addr apply only to experiment runs, not -suite/-suite.short/-resil")
 			os.Exit(2)
 		}
-		// The suites pin their own configuration so baselines stay
-		// comparable; refuse the toggle even at its default value rather
-		// than let an explicit setting appear to take effect.
-		if obscli.FlagWasSet("sim.eventcore") {
-			fmt.Fprintln(os.Stderr,
-				"benchrunner: -sim.eventcore applies only to experiment runs, not -suite/-suite.short/-resil")
-			os.Exit(2)
-		}
-		// Same discipline for the control channel: the performance
-		// baselines and the resilience scorecards both pin a perfect
-		// channel (the ctrl-* scenarios inject their own degradation), so
-		// a -ctrl.* flag here would be silently ignored.
+		// The performance baselines and the resilience scorecards both
+		// pin a perfect control channel (the ctrl-* scenarios inject their
+		// own degradation), so a -ctrl.* flag here would be silently
+		// ignored; refuse it even at its default value.
 		if name, set := ctrlFlags.AnySet(); set {
 			fmt.Fprintf(os.Stderr,
 				"benchrunner: %s applies only to experiment runs, not -suite/-suite.short/-resil\n", name)
@@ -113,7 +104,6 @@ func main() {
 		return
 	}
 
-	experiments.SetEventCore(*eventCore)
 	ctrlFlags.Apply()
 	if err := wlFlags.Apply(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)

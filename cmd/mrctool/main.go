@@ -33,7 +33,6 @@ func main() {
 	threshold := flag.Float64("threshold", mrc.DefaultThreshold, "acceptable-miss-ratio threshold")
 	points := flag.Int("points", 32, "number of curve points to print")
 	csv := flag.Bool("csv", false, "emit CSV instead of a bar chart")
-	sampled := flag.Float64("sampled", 0, "use SHARDS-style spatial sampling at this rate (0 = exact)")
 	flag.Parse()
 
 	pages, err := loadPages(*in, *class, *gen, *span, *skew, *n, *seed)
@@ -46,18 +45,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var curve *mrc.Curve
-	if *sampled > 0 && *sampled < 1 {
-		sim := mrc.NewSampledSimulator(*sampled)
-		for _, p := range pages {
-			sim.Access(p)
-		}
-		curve = sim.Curve()
-		fmt.Printf("(sampled at rate %.3f: tracked %d of %d accesses)\n",
-			sim.Rate(), sim.Sampled(), sim.Total())
-	} else {
-		curve = mrc.Compute(pages)
-	}
+	curve := mrc.Compute(pages)
 	params := curve.ParamsFor(*mem, *threshold)
 	memAxis, miss := curve.Points(*points)
 

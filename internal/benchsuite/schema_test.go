@@ -111,3 +111,26 @@ func TestLoadErrors(t *testing.T) {
 		t.Fatal("Load of malformed file succeeded")
 	}
 }
+
+// FuzzDecode checks Decode's contract on arbitrary input: it either
+// fails, or the decoded document re-encodes and decodes back to a deeply
+// equal document. The seed corpus lives in testdata/fuzz/FuzzDecode.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		again, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("decoding an encoded document: %v", err)
+		}
+		if !reflect.DeepEqual(d, again) {
+			t.Fatalf("Encode→Decode changed the document:\nfirst  %+v\nsecond %+v", d, again)
+		}
+	})
+}

@@ -30,14 +30,8 @@ type Manager struct {
 	// Tracer, when non-nil, is handed to every scheduler registered and
 	// engine provisioned afterwards so their query/exec spans land in one
 	// shared trace ring. Set it before Register/Provision calls.
-	Tracer *obs.Tracer
-	// InlinePhases is passed through to engine.Config.InlinePhases for
-	// every engine the manager provisions: false (default, the
-	// -sim.eventcore toggle on) commits service-phase completions
-	// through each engine's simcore event queue; true restores the
-	// pre-event-core inline accounting. Both paths are bit-identical.
-	InlinePhases bool
-	nextEngine   int
+	Tracer     *obs.Tracer
+	nextEngine int
 }
 
 // NewManager returns a manager with an empty server pool.
@@ -129,9 +123,8 @@ func (m *Manager) Provision(app string, srv *server.Server) (*Replica, error) {
 		return nil, fmt.Errorf("cluster: server %q not in the pool", srv.Name())
 	}
 	cfg := engine.Config{
-		Name:         fmt.Sprintf("engine-%d", m.nextEngine),
-		Pool:         m.PoolConfig,
-		InlinePhases: m.InlinePhases,
+		Name: fmt.Sprintf("engine-%d", m.nextEngine),
+		Pool: m.PoolConfig,
 	}
 	m.nextEngine++
 	if cfg.Pool.Capacity == 0 {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"outlierlb/internal/cluster"
+	"outlierlb/internal/ctrlnet"
 	"outlierlb/internal/engine"
 	"outlierlb/internal/metrics"
 	"outlierlb/internal/mrc"
@@ -229,9 +230,10 @@ type Controller struct {
 	mu        sync.Mutex
 	suspended bool
 
-	// cp, when non-nil, is the message-passing control plane: snapshot
-	// collection, heartbeats and every remote retuning action go over
-	// its ctrlnet network instead of direct calls.
+	// cp is the message-passing control plane: snapshot collection,
+	// heartbeats and every remote retuning action go over its ctrlnet
+	// network. NewController attaches one over a perfect channel;
+	// AttachControlPlane replaces it.
 	cp *ControlPlane
 
 	// observer receives the decision trace; observing caches whether it
@@ -245,12 +247,6 @@ type Controller struct {
 	// analysis without consuming a fresh interval.
 	lastSnaps   map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector
 	lastSnapsAt float64
-
-	// engSnapAt tracks when each engine was last snapshotted, so the
-	// first snapshot after a metric blackout normalizes its accumulated
-	// counters over the true gap instead of one interval (which would
-	// inflate every rate and fabricate outliers).
-	engSnapAt map[*engine.Engine]float64
 
 	// guard, when non-nil, is the action watchdog consulted around every
 	// retuning action (see ActionGuard). policy, when non-nil, replaces
@@ -284,12 +280,16 @@ type frozenSnap struct {
 }
 
 // NewController wires a controller to a simulation and a cluster manager.
+// The controller reaches the engines through a control plane over a
+// perfect channel, which delivers inline, schedules no event and makes no
+// random draw; AttachControlPlane replaces it with one over a network of
+// the caller's.
 func NewController(s *sim.Engine, mgr *cluster.Manager, cfg Config) (*Controller, error) {
 	if s == nil || mgr == nil {
 		return nil, fmt.Errorf("core: controller needs a simulation and a manager")
 	}
 	cfg.fill()
-	return &Controller{
+	c := &Controller{
 		sim:          s,
 		mgr:          mgr,
 		cfg:          cfg,
@@ -300,8 +300,9 @@ func NewController(s *sim.Engine, mgr *cluster.Manager, cfg Config) (*Controller
 		stableStreak: make(map[string]int),
 		reconfirm:    make(map[string]bool),
 		observer:     obs.Nop{},
-		engSnapAt:    make(map[*engine.Engine]float64),
-	}, nil
+	}
+	c.AttachControlPlane(ctrlnet.New(s, 0), CtrlConfig{})
+	return c, nil
 }
 
 // SetObserver attaches an observer to the decision trace. Passing nil
@@ -390,11 +391,9 @@ func (c *Controller) Start() {
 	c.lastTick = c.sim.Now().Seconds()
 	// The control plane's agent rounds are scheduled first so that at
 	// every shared timestamp the round's event precedes the tick's (FIFO
-	// tie-break): reports over a perfect channel arrive exactly when the
-	// direct path would have sampled.
-	if c.cp != nil {
-		c.cp.start()
-	}
+	// tie-break): reports over a perfect channel arrive at the tick that
+	// consumes them.
+	c.cp.start()
 	var tick func()
 	tick = func() {
 		c.Tick()
@@ -452,13 +451,7 @@ func (c *Controller) Tick() {
 	if c.guard != nil {
 		c.guard.BeginTick(now)
 	}
-	if c.cp != nil {
-		c.cp.tickBegin(now)
-	}
-	interval := now - c.lastTick
-	if interval <= 0 {
-		interval = c.cfg.Interval
-	}
+	c.cp.tickBegin(now)
 	// Clock-skew defence: a measured interval wildly off the configured
 	// cadence means the controller's clock jumped, not that time passed.
 	// Rates divided by a skewed window inflate or vanish — so the window
@@ -471,7 +464,6 @@ func (c *Controller) Tick() {
 		raw := now - c.lastTick
 		if raw <= c.cfg.Interval/3 || raw >= 3*c.cfg.Interval {
 			clockAnomaly = true
-			interval = c.cfg.Interval
 			if c.observing {
 				c.observer.Event(obs.Event{
 					Time: now, Kind: obs.EventDegradedAnalysis,
@@ -484,30 +476,22 @@ func (c *Controller) Tick() {
 	}
 	intervalStart := c.lastTick
 	if clockAnomaly {
-		intervalStart = now - interval
+		intervalStart = now - c.cfg.Interval
 	}
 
-	// Snapshot every engine exactly once and sample system metrics. With
-	// an observer attached the stats flavour is used, so per-class latency
-	// distributions and pool state reach the registry; without one the
-	// plain vector path runs and nothing extra is allocated. Servers whose
-	// monitoring is blacked out contribute nothing this tick — no vmstat
-	// sample, no engine snapshots — and the controller degrades to
-	// diagnosing without them rather than mistaking absent data for idle
-	// machines.
+	// Consume the snapshot reports the engines pushed over the control
+	// channel: each server's agent drained its engines once this interval,
+	// through the stats flavour when an observer is attached so per-class
+	// latency distributions and pool state reach the registry. Servers
+	// whose monitoring is blacked out, or that sent no fresh report,
+	// contribute nothing this tick — no vmstat sample, no engine
+	// snapshots — and the controller degrades to diagnosing without them
+	// rather than mistaking absent data for idle machines.
 	snaps := make(map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector)
 	cpu := make(map[*server.Server]float64)
 	disk := make(map[*server.Server]float64)
 	blackout := make(map[*server.Server]bool)
-	if c.cp != nil {
-		// Message-passing mode: consume the engine-pushed snapshot
-		// reports that arrived over the control channel. Servers without
-		// a fresh report this interval are dark — handled like a metric
-		// blackout.
-		c.cp.collect(now, clockAnomaly, snaps, cpu, disk, blackout)
-	} else {
-		c.collectDirect(now, interval, clockAnomaly, snaps, cpu, disk, blackout)
-	}
+	c.cp.collect(now, clockAnomaly, snaps, cpu, disk, blackout)
 	c.lastSnaps, c.lastSnapsAt = snaps, now
 
 	var violated []*cluster.Scheduler
@@ -582,7 +566,7 @@ func (c *Controller) Tick() {
 						return nil
 					})
 				}
-				c.invokeRemote(now, srvName, app, string(ActionReadmitClass), apply, finish)
+				c.cp.invoke(now, srvName, app, string(ActionReadmitClass), apply, finish)
 			}
 			c.recordStable(now, sched, snaps)
 			c.maybeShrink(now, sched, iv.AvgLatency, cpu, blackout)
@@ -673,134 +657,8 @@ func (c *Controller) Tick() {
 			c.violStreak[app] = 0
 		}
 	}
-	if c.cp != nil {
-		c.cp.sample(now)
-	}
+	c.cp.sample(now)
 	c.lastTick = now
-}
-
-// collectDirect is the historical direct-call sampling loop: snapshot
-// every engine exactly once and sample system metrics in place.
-func (c *Controller) collectDirect(now, interval float64, clockAnomaly bool,
-	snaps map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector,
-	cpu, disk map[*server.Server]float64, blackout map[*server.Server]bool) {
-	for _, srv := range c.mgr.Servers() {
-		// On a clock-anomaly tick every utilization window is measured
-		// against the jumped clock: sampling would dilute (or invert) the
-		// servers' observation windows, and a window mark left at a
-		// future timestamp would read as idle for intervals afterwards —
-		// exactly the fake-idle signal that feeds a false shrink. Treat
-		// the whole fleet as unmeasurable for this one tick and realign
-		// every sampling window to the new clock; the anomaly itself was
-		// already narrated.
-		if clockAnomaly {
-			srv.ResyncObservation(now)
-			blackout[srv] = true
-			continue
-		}
-		if srv.MetricsBlackedOut() {
-			blackout[srv] = true
-			if c.observing {
-				c.observer.Event(obs.Event{
-					Time: now, Kind: obs.EventDegradedAnalysis, Server: srv.Name(),
-					Cause: "metrics unreachable; no utilization sample or engine snapshot this interval",
-				})
-			}
-			continue
-		}
-		cpu[srv] = srv.CPUUtilization(now)
-		disk[srv] = srv.Disk().UtilizationWindow(now)
-		// Byzantine-metrics guard: a non-idle utilization sample that
-		// repeats bit-identically is a lying exporter, not a steady
-		// machine. Treat the server like a metric blackout — no sample,
-		// no engine snapshots, no shrink decisions off its fake numbers.
-		if c.cfg.FrozenMetricsAfter > 0 && c.frozenServerSample(srv, cpu[srv], disk[srv]) {
-			blackout[srv] = true
-			delete(cpu, srv)
-			delete(disk, srv)
-			if c.observing {
-				c.observer.Event(obs.Event{
-					Time: now, Kind: obs.EventDegradedAnalysis, Server: srv.Name(),
-					Cause: fmt.Sprintf("utilization sample frozen for >%d intervals; treating metrics as unreachable",
-						c.cfg.FrozenMetricsAfter),
-				})
-			}
-			continue
-		}
-		var engObs []obs.EngineObs
-		for _, eng := range c.mgr.EnginesOn(srv) {
-			// The first snapshot after a blackout covers every skipped
-			// interval; normalize over the true gap — unless the clock
-			// itself is suspect, in which case the gap arithmetic is too.
-			engInterval := interval
-			if last, ok := c.engSnapAt[eng]; !clockAnomaly && ok && now-last > 0 {
-				engInterval = now - last
-			}
-			c.engSnapAt[eng] = now
-			if !c.observing {
-				snap := c.analyzer(eng).Snapshot(engInterval)
-				if c.cfg.FrozenMetricsAfter > 0 && c.frozenEngineSnap(eng, snap) {
-					continue
-				}
-				snaps[eng] = snap
-				continue
-			}
-			grouped, flat := c.analyzer(eng).SnapshotStats(engInterval)
-			// The frozen-snapshot guard drops a bit-identically repeating
-			// engine report before it reaches the analyzer or the
-			// registry: a duplicated interval re-delivered is corruption,
-			// and diagnosing from it fabricates outliers.
-			if c.cfg.FrozenMetricsAfter > 0 && c.frozenEngineSnap(eng, grouped) {
-				c.observer.Event(obs.Event{
-					Time: now, Kind: obs.EventDegradedAnalysis, Server: srv.Name(),
-					Cause: fmt.Sprintf("engine %s snapshot frozen for >%d intervals; report discarded",
-						eng.Name(), c.cfg.FrozenMetricsAfter),
-				})
-				continue
-			}
-			snaps[eng] = grouped
-			for id, st := range flat {
-				if st.Latency.Count == 0 {
-					continue
-				}
-				c.observer.ClassLatency(obs.ClassLatencyObs{
-					Server: srv.Name(), App: id.App, Class: id.Class,
-					Count: st.Latency.Count, Mean: st.Latency.Mean,
-					P50: st.Latency.P50, P95: st.Latency.P95, P99: st.Latency.P99,
-					Max: st.Latency.Max, Hist: st.Hist,
-				})
-			}
-			pool := eng.Pool()
-			engObs = append(engObs, obs.EngineObs{
-				Engine:    eng.Name(),
-				HitRatio:  pool.TotalStats().HitRatio(),
-				Resident:  pool.Resident(),
-				Capacity:  pool.Capacity(),
-				QuotaKeys: len(pool.Quotas()),
-			})
-		}
-		if c.observing {
-			c.observer.ServerSampled(obs.ServerObs{
-				Time: now, Server: srv.Name(), CPU: cpu[srv], Disk: disk[srv], Engines: engObs,
-			})
-		}
-	}
-}
-
-// invokeRemote runs one engine-side retuning mutation: over the control
-// plane's network when one is attached, inline otherwise (or when the
-// target server is unknown). apply is the mutation, finish the
-// controller-side bookkeeping once the applied ack arrives — over a
-// perfect channel or the direct path both run synchronously, in the
-// historical order.
-func (c *Controller) invokeRemote(now float64, srv, app, label string,
-	apply func() any, finish func(at float64, res any)) (any, invokeOutcome) {
-	if c.cp == nil || srv == "" {
-		res := apply()
-		finish(now, res)
-		return res, invokeInline
-	}
-	return c.cp.invoke(now, srv, app, label, apply, finish)
 }
 
 // frozenServerSample advances srv's frozen-metrics fingerprint and
@@ -1045,7 +903,7 @@ func (c *Controller) maintainQuotas(now float64, sched *cluster.Scheduler) {
 				c.record(a)
 			}
 		}
-		c.invokeRemote(now, srvName, app, string(ActionMaintain), apply, finish)
+		c.cp.invoke(now, srvName, app, string(ActionMaintain), apply, finish)
 	}
 }
 
@@ -1303,7 +1161,7 @@ func (c *Controller) brownoutShed(now float64, sched *cluster.Scheduler,
 			return nil
 		})
 	}
-	res, outcome := c.invokeRemote(now, srvName, app, string(ActionShedClass), apply, finish)
+	res, outcome := c.cp.invoke(now, srvName, app, string(ActionShedClass), apply, finish)
 	switch outcome {
 	case invokeInline:
 		return res != nil
@@ -1507,7 +1365,7 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 			})
 			c.cooldownServer(srv.Name())
 		}
-		if _, outcome := c.invokeRemote(now, srv.Name(), app, string(ActionQuota), apply, finish); outcome == invokeRefused {
+		if _, outcome := c.cp.invoke(now, srv.Name(), app, string(ActionQuota), apply, finish); outcome == invokeRefused {
 			// Nothing was sent: the diagnosis was consumed into the
 			// signature but nothing was repaired — same as a guard veto.
 			for _, p := range problems {
@@ -1726,7 +1584,7 @@ func (c *Controller) rescheduleClass(now float64, id metrics.ClassID, from *serv
 		})
 		c.cooldownServer(from.Name())
 	}
-	res, outcome := c.invokeRemote(now, from.Name(), id.App, string(kind), apply, finish)
+	res, outcome := c.cp.invoke(now, from.Name(), id.App, string(kind), apply, finish)
 	switch outcome {
 	case invokeInline:
 		moved, ok := res.(bool)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"regexp"
+	"strconv"
 	"testing"
 
 	"outlierlb/internal/bufferpool"
@@ -444,8 +446,11 @@ func TestQuotaMaintenanceDissolvesRevertedQuota(t *testing.T) {
 	}
 
 	// Restore the index: "best" reverts to its small indexed working
-	// set... which needs MORE than the containment quota, so maintenance
-	// must dissolve the cage during the stable period that follows.
+	// set. By now the controller has isolated the application on a fresh
+	// server and contained "best" there, so this engine no longer serves
+	// the class and maintenance dissolves its quota as "class no longer
+	// placed here". TestQuotaMaintenanceResizesOrDissolves covers a cage
+	// the class outgrew and one it never needed.
 	if err := sched.UpdateClass(engine.ClassSpec{
 		ID: bestID, CPUPerQuery: 0.02, PagesPerQuery: 60,
 		Pattern: trace.NewUniformSet(rng.Fork(), 100000, 3000),
@@ -471,6 +476,84 @@ func TestQuotaMaintenanceDissolvesRevertedQuota(t *testing.T) {
 		if q <= 1200 {
 			t.Fatalf("stale quota (%d pages) survived workload revert", q)
 		}
+	}
+}
+
+// TestQuotaMaintenanceResizesOrDissolves drives maintainQuotas'
+// MRC-driven branches. A quota is forced on a class whose working set is
+// steady at about a thousand pages, and the next maintenance sweep must
+// dissolve a cage the class has outgrown and shrink one it never needed.
+func TestQuotaMaintenanceResizesOrDissolves(t *testing.T) {
+	bestID := metrics.ClassID{App: "shop", Class: "best"}
+	cases := []struct {
+		name  string
+		quota int
+		// detail matches the maintenance action; its one group is the
+		// class's recomputed need in pages.
+		detail *regexp.Regexp
+		// dissolved is whether the sweep removes the quota rather than
+		// resizing it to the need.
+		dissolved bool
+	}{
+		{"outgrown", 200, regexp.MustCompile(`^needs (\d+) pages > quota 200; quota dissolved$`), true},
+		{"oversized", 4000, regexp.MustCompile(`^quota 4000 -> (\d+) pages$`), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t, 2, 4096, Config{Interval: 10, MaintainEvery: 3})
+			app := scanApp("shop", sim.NewRNG(3), 3000)
+			sched := startApp(t, tb, app)
+			em, err := workload.NewEmulator(tb.sim, sched, workload.Config{
+				Mix: mixFor(app), ThinkTime: 0.4, Load: workload.Constant(8),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb.ctl.Start()
+			em.Start()
+			tb.sim.RunUntil(120)
+			eng := sched.Replicas()[0].Engine()
+			if err := eng.Pool().SetQuota(bestID.String(), tc.quota); err != nil {
+				t.Fatal(err)
+			}
+			tb.sim.RunUntil(160)
+			em.Stop()
+
+			var maint []Action
+			for _, a := range tb.ctl.Actions() {
+				if a.Kind == ActionMaintain {
+					maint = append(maint, a)
+				}
+			}
+			if len(maint) != 1 {
+				t.Fatalf("want one maintenance action, got %d; actions: %v", len(maint), tb.ctl.Actions())
+			}
+			a := maint[0]
+			t.Logf("t=%gs %s on %s: %s", a.Time, a.Class, a.Server, a.Detail)
+			m := tc.detail.FindStringSubmatch(a.Detail)
+			if m == nil || a.Class != bestID.Class || a.Server != sched.Replicas()[0].Server().Name() {
+				t.Fatalf("maintenance action %+v, want class %s on the home server with detail matching %s",
+					a, bestID.Class, tc.detail)
+			}
+			need, _ := strconv.Atoi(m[1])
+			factor := tb.ctl.cfg.MRCChangeFactor
+			q, has := eng.Pool().Quota(bestID.String())
+			if tc.dissolved {
+				if float64(need) <= factor*float64(tc.quota) {
+					t.Errorf("need %d is within %.1f× the %d-page quota; dissolving it was wrong", need, factor, tc.quota)
+				}
+				if has {
+					t.Errorf("quota still %d pages after it was dissolved", q)
+				}
+				return
+			}
+			if float64(tc.quota) <= factor*float64(need) {
+				t.Errorf("the %d-page quota is within %.1f× the need %d; shrinking it was wrong", tc.quota, factor, need)
+			}
+			if !has || q != need {
+				t.Errorf("quota = %d (present %v) after the sweep, want %d", q, has, need)
+			}
+		})
 	}
 }
 

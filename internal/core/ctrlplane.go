@@ -1,10 +1,10 @@
 package core
 
-// This file is the message-passing control plane: when a ControlPlane is
-// attached, every controller↔engine interaction — snapshot collection,
-// retuning actions, liveness — travels over an internal/ctrlnet Network
-// instead of direct method calls, so partitions, loss, duplication and
-// delay become first-class faults the controller must survive.
+// This file is the message-passing control plane: every
+// controller↔engine interaction — snapshot collection, retuning actions,
+// liveness — travels over an internal/ctrlnet Network, so partitions,
+// loss, duplication and delay become first-class faults the controller
+// must survive.
 //
 // The protocol has three strands:
 //
@@ -30,13 +30,16 @@ package core
 //     fencing epoch, so in-flight actions stamped before the declaration
 //     can never be applied after the controller's view has moved on.
 //
-// Bit-identity: over a perfect channel ctrlnet delivers inline and
-// synchronously, the agent round fires immediately before the tick at
-// the same virtual time, and every sample/drain/apply call runs in the
-// same order with the same arguments as the direct path — so a
-// perfect-channel run is byte-identical to a direct-call run (asserted
-// by TestCtrlNetOffBitIdentical), the same transition-flag discipline as
-// -sim.eventcore.
+// The perfect channel: NewController attaches a plane over a network
+// whose links are perfect, on which ctrlnet delivers inline and
+// synchronously. Every action's round trip then completes within the
+// call that sent it, and the agent round fires immediately before the
+// tick at the same virtual time, so each tick consumes the reports
+// drained at that instant. Such a run schedules no message event and
+// makes no random draw. The experiments testbed replaces that plane
+// before Start, through AttachControlPlane, with one over a seeded
+// network of its own, which the ctrl-* chaos scenarios and the -ctrl.*
+// flags degrade.
 
 import (
 	"fmt"
@@ -265,9 +268,11 @@ type ControlPlane struct {
 }
 
 // AttachControlPlane routes this controller's snapshot collection,
-// heartbeats and retuning actions over net. Must be called before Start;
-// the zero CtrlConfig takes every default. The returned plane is the
-// handle for fault injection helpers and protocol statistics.
+// heartbeats and retuning actions over net, replacing the plane the
+// controller had (NewController attaches one over a perfect channel).
+// Must be called before Start; the zero CtrlConfig takes every default.
+// The returned plane is the handle for fault injection helpers and
+// protocol statistics.
 func (c *Controller) AttachControlPlane(net *ctrlnet.Network, cfg CtrlConfig) *ControlPlane {
 	cfg.fill(c.cfg.Interval)
 	cp := &ControlPlane{
@@ -290,8 +295,7 @@ func (c *Controller) AttachControlPlane(net *ctrlnet.Network, cfg CtrlConfig) *C
 
 // SetTracer attaches the span tracer used for ctrl-action marker spans
 // on non-inline action deliveries. Perfect-channel runs complete every
-// delivery inline and therefore never create these spans, keeping their
-// trace output identical to the direct path.
+// delivery inline and therefore never create these spans.
 func (cp *ControlPlane) SetTracer(t *obs.Tracer) { cp.tr = t }
 
 // Network exposes the underlying control network (fault injection).
@@ -344,8 +348,7 @@ func (cp *ControlPlane) Invariants() CtrlInvariants {
 // start schedules the per-interval agent rounds. Called from
 // Controller.Start BEFORE the tick chain is scheduled, so each round's
 // event precedes its tick in FIFO order at the same timestamp — reports
-// over a perfect channel land exactly when the direct path would have
-// sampled.
+// over a perfect channel land at the instant the tick consumes them.
 func (cp *ControlPlane) start() {
 	if cp.started {
 		return
@@ -506,8 +509,9 @@ func (cp *ControlPlane) invoke(now float64, srvName, app, label string,
 	apply func() any, finish func(at float64, res any)) (any, invokeOutcome) {
 	a := cp.agentByName(srvName)
 	if a == nil {
-		// No such server (decommissioned between diagnosis and action):
-		// degrade to the direct call rather than black-holing the action.
+		// No such server (decommissioned between diagnosis and action,
+		// or none named): apply inline rather than black-holing the
+		// action.
 		res := apply()
 		finish(now, res)
 		return res, invokeInline
@@ -644,8 +648,8 @@ func (cp *ControlPlane) onActionAck(m actionAck) {
 // capturing the apply closure twice.
 func (p *pendingAction) applyFn() any { return p.apply() }
 
-// collect consumes the freshest report per server in place of the direct
-// sampling loop. Servers without a fresh report are dark this tick —
+// collect consumes the freshest report per server. Servers without a
+// fresh report are dark this tick —
 // blacked out, narrated, and excluded from diagnosis, exactly like a
 // metric blackout.
 func (cp *ControlPlane) collect(now float64, clockAnomaly bool,
@@ -654,14 +658,13 @@ func (cp *ControlPlane) collect(now float64, clockAnomaly bool,
 	c := cp.ctl
 	for _, srv := range c.mgr.Servers() {
 		if clockAnomaly {
-			// Same defence as the direct path: with the controller's clock
-			// suspect, take nothing this tick. But realign the sampling
-			// windows to the TRUE clock, not the skewed controller clock —
-			// the agents keep draining them on virtual time, and a window
-			// mark left at a future timestamp would read as idle for
-			// intervals afterwards, the exact fake-idle signal that feeds a
-			// false shrink. The agents' reports for this interval are
-			// discarded rather than trusted.
+			// With the controller's clock suspect, take nothing this tick.
+			// But realign the sampling windows to the TRUE clock, not the
+			// skewed controller clock — the agents keep draining them on
+			// virtual time, and a window mark left at a future timestamp
+			// would read as idle for intervals afterwards, the exact
+			// fake-idle signal that feeds a false shrink. The agents'
+			// reports for this interval are discarded rather than trusted.
 			srv.ResyncObservation(cp.sim.Now().Seconds())
 			blackout[srv] = true
 			if rep := cp.reports[srv]; rep != nil {
@@ -860,8 +863,7 @@ func (a *ctrlAgent) onAction(req actionReq) {
 // round is one agent reporting cycle: check the lease, drain this
 // server's engines on the true clock, push the report. During a metric
 // blackout the agent reports the blackout itself and drains nothing, so
-// the counters keep accumulating for gap normalization on recovery —
-// the same discipline as the direct path.
+// the counters keep accumulating for gap normalization on recovery.
 func (a *ctrlAgent) round(now float64) {
 	a.checkLease(now)
 	a.seq++

@@ -12,10 +12,8 @@
 // occasionally adds a large extra delay so a later message can overtake
 // an earlier one. A link with the zero Config is PERFECT: Send delivers
 // inline, synchronously, within the caller's stack — no event is
-// scheduled and no random draw is made. That inline fast path is what
-// makes a perfect-channel control plane bit-identical to the historical
-// direct-call controller (the same transition-flag discipline as the
-// engines' -sim.eventcore queues, DESIGN.md §10–§11); an imperfect link
+// scheduled and no random draw is made. That inline fast path is the
+// controller's default channel (DESIGN.md §11); an imperfect link
 // schedules a KindMessage event per delivery instead.
 //
 // # Partitions
@@ -31,10 +29,11 @@
 //
 // All randomness comes from one seeded RNG owned by the Network,
 // deliberately NOT forked from the simulation engine's stream: building
-// a Network (or not) must not perturb workload randomness, so perfect-
-// channel runs stay byte-identical to direct-call runs. Like everything
-// in virtual time the Network is single-owner — calls happen on the
-// simulation goroutine only.
+// a Network must not perturb workload randomness, so a controller's
+// default perfect-channel network and the seeded one a testbed replaces
+// it with leave the workload stream alike. Like everything in virtual
+// time the Network is single-owner — calls happen on the simulation
+// goroutine only.
 package ctrlnet
 
 import (

@@ -106,15 +106,6 @@ type Config struct {
 	// LogBufferSize is the per-thread private logging buffer capacity.
 	// Defaults to 4096.
 	LogBufferSize int
-	// InlinePhases is the transition escape hatch for the discrete-event
-	// service-phase path (the -sim.eventcore toggle, default on): by
-	// default a query's CPU/disk/lock-wait completions are committed
-	// through the engine's simcore event queue in virtual-time order;
-	// setting InlinePhases restores the pre-event-core inline max()
-	// accounting. Both paths produce bit-identical latencies, metric
-	// snapshots and span trees (asserted by the experiments package's
-	// event-core determinism tests).
-	InlinePhases bool
 }
 
 // Engine is one simulated database engine. It is not safe for
@@ -146,11 +137,10 @@ type Engine struct {
 	// current span. Nil keeps the path untouched.
 	tracer *obs.Tracer
 
-	// Event-core service-phase machinery (nil when Config.InlinePhases):
-	// each Execute pushes its phase completions onto phaseQ and drains
-	// them in virtual-time order. The callbacks are built once at
-	// construction and read the ph* scratch fields, so the per-query
-	// path allocates nothing beyond what the inline path did.
+	// Event-core service-phase machinery: each Execute pushes its phase
+	// completions onto phaseQ and drains them in virtual-time order. The
+	// callbacks are built once at construction and read the ph* scratch
+	// fields, so committing a query's phases allocates nothing.
 	phaseQ                                       *simcore.Queue
 	onLockGrant, onCPUDone, onIODone, onLockHold func()
 	phSpanLock, phSpanCPU, phSpanDisk            *obs.Span
@@ -219,27 +209,25 @@ func New(cfg Config, host Host) (*Engine, error) {
 		latEst:    make(map[metrics.ClassID]float64),
 	}
 	e.logbuf = metrics.NewLogBuffer(cfg.LogBufferSize, metrics.Drain(e.collector))
-	if !cfg.InlinePhases {
-		e.phaseQ = simcore.NewQueue()
-		e.onLockGrant = func() {
-			if e.phSpanLock != nil {
-				e.phSpanLock.Finish(e.phGrantAt)
-			}
+	e.phaseQ = simcore.NewQueue()
+	e.onLockGrant = func() {
+		if e.phSpanLock != nil {
+			e.phSpanLock.Finish(e.phGrantAt)
 		}
-		e.onCPUDone = func() {
-			if e.phSpanCPU != nil {
-				e.phSpanCPU.Finish(e.phCPUDoneAt)
-			}
-		}
-		e.onIODone = func() {
-			if e.phSpanDisk != nil {
-				e.phSpanDisk.Finish(e.phIODoneAt)
-			}
-		}
-		// Lock release extends the transaction but has no span of its
-		// own; its dequeue time alone moves the completion fold.
-		e.onLockHold = func() {}
 	}
+	e.onCPUDone = func() {
+		if e.phSpanCPU != nil {
+			e.phSpanCPU.Finish(e.phCPUDoneAt)
+		}
+	}
+	e.onIODone = func() {
+		if e.phSpanDisk != nil {
+			e.phSpanDisk.Finish(e.phIODoneAt)
+		}
+	}
+	// Lock release extends the transaction but has no span of its own;
+	// its dequeue time alone moves the completion fold.
+	e.onLockHold = func() {}
 	pool.OnMiss(func(class string, pages int) {
 		done := e.host.ReadPages(e.curNow, class, pages)
 		if done > e.curIODone {
@@ -402,27 +390,7 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 
 	cpuWork := spec.CPUPerQuery + float64(spec.PagesPerQuery)*spec.CPUPerPage
 	cpuDone := e.host.RunCPU(start, cpuWork)
-	if e.phaseQ != nil {
-		done = e.drainPhases(now, start, cpuDone, lockRelease, sp, spec.LockTable)
-	} else {
-		done = cpuDone
-		if e.curIODone > done {
-			done = e.curIODone
-		}
-		if lockRelease > done {
-			// The transaction is not finished until its lock hold elapses.
-			done = lockRelease
-		}
-		if sp != nil {
-			if start > now {
-				sp.Child(now, obs.SpanLockWait, spec.LockTable).Finish(start)
-			}
-			sp.Child(start, obs.SpanCPU, "").Finish(cpuDone)
-			if e.curIODone > start {
-				sp.Child(start, obs.SpanDisk, "").Finish(e.curIODone)
-			}
-		}
-	}
+	done = e.drainPhases(now, start, cpuDone, lockRelease, sp, spec.LockTable)
 	if sp != nil {
 		sp.Annotate("pool_hits", float64(hits))
 		sp.Annotate("pool_misses", float64(spec.PagesPerQuery-hits))
@@ -436,15 +404,15 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 	return done, nil
 }
 
-// drainPhases is the event-core completion path: the query's service
-// phases (lock grant, CPU, disk, lock hold) become KindPhaseComplete
-// events on the engine's queue and are committed in virtual-time order.
-// The spans are created eagerly in the inline path's order (lock-wait,
-// CPU, disk) so span trees stay byte-identical however the completions
-// interleave; each event's dequeue Finishes its span, and the query's
-// completion is the fold of the dequeue times — the same maximum the
-// inline path computes (RunCPU never returns earlier than start, so
-// folding from start is exact).
+// drainPhases commits a query's service phases: its lock grant, CPU,
+// disk and lock hold become KindPhaseComplete events on the engine's
+// queue and are committed in virtual-time order. The spans are created
+// eagerly in a fixed order (lock-wait, CPU, disk) so span trees do not
+// depend on how the completions interleave; each event's dequeue
+// Finishes its span, and the query's completion is the fold of the
+// dequeue times: the latest of its CPU, disk and lock-hold completions
+// (RunCPU never returns earlier than start, so folding from start is
+// exact).
 func (e *Engine) drainPhases(now, start, cpuDone, lockRelease float64, sp *obs.Span, lockTable string) float64 {
 	e.phSpanLock, e.phSpanCPU, e.phSpanDisk = nil, nil, nil
 	if sp != nil {
@@ -484,12 +452,8 @@ func (e *Engine) drainPhases(now, start, cpuDone, lockRelease float64, sp *obs.S
 }
 
 // PhaseEventStats reports the cumulative traffic through the engine's
-// service-phase event queue (the zero Stats when Config.InlinePhases
-// disabled the event core).
+// service-phase event queue.
 func (e *Engine) PhaseEventStats() simcore.Stats {
-	if e.phaseQ == nil {
-		return simcore.Stats{}
-	}
 	return e.phaseQ.Stats()
 }
 

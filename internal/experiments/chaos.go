@@ -52,8 +52,7 @@ type ChaosResult struct {
 	// TargetHealthy reports whether the attacked replica ended the run
 	// back in the healthy state with the fault cleared.
 	TargetHealthy bool
-	// Ctrl holds the control plane's protocol-safety counters (zero-
-	// valued when the run used the direct-call path); CtrlSent /
+	// Ctrl holds the control plane's protocol-safety counters; CtrlSent /
 	// CtrlDropped / CtrlDuplicated are the channel's message totals.
 	Ctrl                                  core.CtrlInvariants
 	CtrlSent, CtrlDropped, CtrlDuplicated uint64
@@ -225,13 +224,11 @@ func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) 
 		}
 		res.FinalMetStreak++
 	}
-	if tb.cp != nil {
-		res.Ctrl = tb.cp.Invariants()
-		ns := tb.net.Stats()
-		res.CtrlSent = ns.Sent
-		res.CtrlDropped = ns.Dropped + ns.PartitionDropped + ns.PartitionCancelled
-		res.CtrlDuplicated = ns.Duplicated
-	}
+	res.Ctrl = tb.cp.Invariants()
+	ns := tb.net.Stats()
+	res.CtrlSent = ns.Sent
+	res.CtrlDropped = ns.Dropped + ns.PartitionDropped + ns.PartitionCancelled
+	res.CtrlDuplicated = ns.Duplicated
 	res.TargetHealthy = !target.Down() && sched.Health(target) == cluster.HealthHealthy
 	res.Scorecard = resil.Score(resil.Input{
 		Scenario: opts.name, Seed: seed,

@@ -57,58 +57,8 @@ func TestEventCoreDeterminism(t *testing.T) {
 	}
 }
 
-// TestEventCoreOffBitIdentical proves the transition flag is purely an
-// implementation switch: the same scenario with the event core disabled
-// (inline phase accounting, the pre-refactor path) must produce
-// byte-identical metrics snapshots and span trees. This is the PR 3
-// pattern — assert the two execution modes agree exactly, not
-// approximately.
-func TestEventCoreOffBitIdentical(t *testing.T) {
-	seeds := eventCoreSeeds
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		onRes, onSpans := fig4Fingerprint(t, seed)
-
-		SetEventCore(false)
-		offRes, offSpans := fig4Fingerprint(t, seed)
-		SetEventCore(true)
-
-		if string(onRes) != string(offRes) {
-			t.Errorf("seed=%d: event core on vs off diverges:\n%s\nvs\n%s", seed, onRes, offRes)
-		}
-		if string(onSpans) != string(offSpans) {
-			t.Errorf("seed=%d: span trees diverge between event core on and off", seed)
-		}
-	}
-}
-
-// TestEventCoreFigure3Identical extends the on/off identity to the
-// full provisioning figure: the golden the figure tests pin must be
-// reachable through both paths, including replica allocation counts.
-func TestEventCoreFigure3Identical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("double figure-3 run is slow; run without -short")
-	}
-	on := Figure3(1)
-	SetEventCore(false)
-	off := Figure3(1)
-	SetEventCore(true)
-	if len(on.Latency) != len(off.Latency) {
-		t.Fatalf("series length diverges: %d vs %d", len(on.Latency), len(off.Latency))
-	}
-	for i := range on.Latency {
-		if on.Latency[i] != off.Latency[i] || on.Machines[i] != off.Machines[i] || on.Throughput[i] != off.Throughput[i] {
-			t.Fatalf("t=%g: event core changed the run: latency %v vs %v, machines %d vs %d",
-				on.Times[i], on.Latency[i], off.Latency[i], on.Machines[i], off.Machines[i])
-		}
-	}
-}
-
-// TestEventCorePhaseTraffic checks the new path actually runs: with the
-// event core on (the default), the engines commit every service phase
-// through their event queues, and the queue statistics report
+// TestEventCorePhaseTraffic checks that the engines commit every service
+// phase through their event queues, and that the queue statistics report
 // phase-complete traffic and nothing else.
 func TestEventCorePhaseTraffic(t *testing.T) {
 	var mgrs []*cluster.Manager

@@ -52,13 +52,15 @@ func poolConfig(pages int) bufferpool.Config {
 }
 
 // testbed is the shared scaffolding: a simulation, a manager with a
-// server pool, and a controller.
+// server pool, and a controller that reaches the engines over a seeded
+// control channel.
 type testbed struct {
 	sim *sim.Engine
 	mgr *cluster.Manager
 	ctl *core.Controller
-	// net and cp are non-nil when the message-passing control plane is
-	// on (the default): the control channel and its protocol endpoint.
+	// net is the control channel and cp the controller's protocol
+	// endpoint on it, which replaces the perfect-channel plane
+	// NewController attached.
 	net *ctrlnet.Network
 	cp  *core.ControlPlane
 }
@@ -92,40 +94,17 @@ var tracer *obs.Tracer
 // clear.
 func SetTracer(t *obs.Tracer) { tracer = t }
 
-// eventCore selects the engines' service-phase completion path for
-// subsequently built testbeds: true (default, the -sim.eventcore
-// toggle) commits CPU/disk/lock-wait completions through each engine's
-// simcore event queue; false restores the pre-event-core inline
-// accounting. Both paths are bit-identical (eventcore_test.go asserts
-// it), so this is a transition escape hatch, not a behavior switch.
-var eventCore = true
-
-// SetEventCore makes every subsequently built testbed provision its
-// engines with the discrete-event service-phase path on (the default)
-// or off (engine.Config.InlinePhases). Process-global for the same
-// reason as the other hooks: scenario functions take only a seed.
-func SetEventCore(on bool) { eventCore = on }
-
-// ctrlHook configures the message-passing control plane for
-// subsequently built testbeds. On by default with a perfect channel —
-// bit-identical to the direct-call path (ctrlnet_test.go asserts it),
-// the same transition-flag discipline as -sim.eventcore. The link
-// config lets tools and chaos scenarios degrade every link.
-var ctrlHook = struct {
-	on   bool
-	link ctrlnet.Config
-}{on: true} // the zero Config is the perfect channel
-
-// SetCtrlNet selects the controller↔engine interaction path for
-// subsequently built testbeds: true (default, the -ctrl.net toggle)
-// routes snapshot collection, heartbeats and retuning actions over a
-// simulated message channel; false restores the direct-call path.
-func SetCtrlNet(on bool) { ctrlHook.on = on }
+// ctrlLink is the default link configuration of the control channel
+// every subsequently built testbed attaches. The zero Config is the
+// perfect channel; the -ctrl.* flags set it to degrade every link.
+// Process-global for the same reason as the other hooks: scenario
+// functions take only a seed.
+var ctrlLink ctrlnet.Config
 
 // SetCtrlLink sets the default link characteristics (latency, jitter,
 // drop, duplication, reordering) of every control channel built after
-// the call. Ignored when SetCtrlNet(false) is in effect.
-func SetCtrlLink(link ctrlnet.Config) { ctrlHook.link = link }
+// the call.
+func SetCtrlLink(link ctrlnet.Config) { ctrlLink = link }
 
 // arrivalHook, when set, receives every client submission any
 // subsequently run scenario makes — cohort (application) name, exact
@@ -160,7 +139,6 @@ func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	mgr := cluster.NewManager()
 	mgr.PoolConfig = poolConfig(poolPages)
 	mgr.Tracer = tracer
-	mgr.InlinePhases = !eventCore
 	for i := 0; i < servers; i++ {
 		mgr.AddServer(newServer(fmt.Sprintf("db%d", i+1), poolPages*2))
 	}
@@ -176,13 +154,10 @@ func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	if obsHooks.onTestbed != nil {
 		obsHooks.onTestbed(ctl, mgr, s)
 	}
-	tb := &testbed{sim: s, mgr: mgr, ctl: ctl}
-	if ctrlHook.on {
-		tb.net = ctrlnet.New(s, seed^ctrlNetSeed)
-		tb.net.SetDefaults(ctrlHook.link)
-		tb.cp = ctl.AttachControlPlane(tb.net, core.CtrlConfig{})
-		tb.cp.SetTracer(tracer)
-	}
+	tb := &testbed{sim: s, mgr: mgr, ctl: ctl, net: ctrlnet.New(s, seed^ctrlNetSeed)}
+	tb.net.SetDefaults(ctrlLink)
+	tb.cp = ctl.AttachControlPlane(tb.net, core.CtrlConfig{})
+	tb.cp.SetTracer(tracer)
 	return tb
 }
 

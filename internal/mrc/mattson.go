@@ -14,8 +14,9 @@
 // O(log n) per access, so MRC tracking stays lightweight enough to run
 // inside the engine as the paper requires.
 //
-// Concurrency: StackSimulator and SampledSimulator are single-owner —
-// one goroutine accesses, resets and reads a simulator.
+// Concurrency: a StackSimulator is single-owner — one goroutine
+// accesses, resets and reads it. Compute is safe for concurrent use:
+// each call borrows a simulator of its own from a pool.
 package mrc
 
 import (

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -157,4 +158,35 @@ func TestFlightRecorderEmptyRun(t *testing.T) {
 	if _, err := LoadRun(path); err != nil {
 		t.Fatalf("empty recording does not round-trip: %v", err)
 	}
+}
+
+// FuzzDecodeRun checks DecodeRun's contract on arbitrary input: it
+// either fails, or the decoded recording re-encodes and decodes back to
+// the same recording. Same means the same encoding, not deep equality:
+// `"traces": []` or `"attrs": {}` decode to empty non-nil values that
+// re-encode as absent fields, so the two decodings differ only in nil
+// versus empty. The seed corpus lives in testdata/fuzz/FuzzDecodeRun.
+func FuzzDecodeRun(f *testing.F) {
+	encode := func(t *testing.T, r *RunRecording) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := r.Encode(&buf); err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeRun(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first := encode(t, r)
+		again, err := DecodeRun(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("decoding an encoded recording: %v\n%s", err, first)
+		}
+		if second := encode(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("Encode→DecodeRun changed the recording:\nfirst  %s\nsecond %s", first, second)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -171,4 +172,27 @@ func TestWriteFileAtomicAndRefusesOverwrite(t *testing.T) {
 			t.Fatalf("temp file left behind: %s", e.Name())
 		}
 	}
+}
+
+// FuzzDecode checks Decode's contract on arbitrary input: it either
+// fails, or the decoded document re-encodes and decodes back to a deeply
+// equal document. The seed corpus lives in testdata/fuzz/FuzzDecode.
+func FuzzDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := d.Encode(&buf); err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		again, err := Decode(&buf)
+		if err != nil {
+			t.Fatalf("decoding an encoded document: %v", err)
+		}
+		if !reflect.DeepEqual(d, again) {
+			t.Fatalf("Encode→Decode changed the document:\nfirst  %+v\nsecond %+v", d, again)
+		}
+	})
 }

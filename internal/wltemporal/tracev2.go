@@ -257,7 +257,11 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if nArrivals > maxArrivals {
 		return nil, fmt.Errorf("wltemporal: implausible arrival count %d", nArrivals)
 	}
-	t.Arrivals = make([]Arrival, 0, nArrivals)
+	// The count is the file's claim, not a measurement: start small and
+	// let append grow the slice as arrivals are actually read, so a short
+	// file that claims 2^31 arrivals fails at EOF without first asking
+	// for tens of gigabytes.
+	t.Arrivals = make([]Arrival, 0, min(nArrivals, 4096))
 	var tbuf [8]byte
 	prev := math.Inf(-1)
 	for i := uint64(0); i < nArrivals; i++ {
