@@ -25,7 +25,7 @@ import (
 // provisioning, latency back under the SLA.
 func BenchmarkFigure3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure3(uint64(i + 1))
+		r := experiments.Options{}.Figure3(uint64(i + 1))
 		b.ReportMetric(float64(r.MaxMachines()), "peak-machines")
 		b.ReportMetric(r.FinalLatency(), "final-latency-s")
 	}
@@ -35,7 +35,7 @@ func BenchmarkFigure3(b *testing.B) {
 // ratios after the O_DATE index drop and the outlier classification.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure4(uint64(i + 1))
+		r := experiments.Options{}.Figure4(uint64(i + 1))
 		b.ReportMetric(float64(len(r.MemoryOutliers)), "memory-outliers")
 		b.ReportMetric(float64(len(r.Confirmed)), "confirmed-classes")
 		for j, c := range r.Classes {
@@ -50,7 +50,7 @@ func BenchmarkFigure4(b *testing.B) {
 // (paper: acceptable memory 6982 pages).
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure5(uint64(i + 1))
+		r := experiments.Options{}.Figure5(uint64(i + 1))
 		b.ReportMetric(float64(r.Params.AcceptableMemory), "acceptable-pages")
 	}
 }
@@ -59,7 +59,7 @@ func BenchmarkFigure5(b *testing.B) {
 // (paper: acceptable memory ≈7906 pages).
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure6(uint64(i + 1))
+		r := experiments.Options{}.Figure6(uint64(i + 1))
 		b.ReportMetric(float64(r.Params.AcceptableMemory), "acceptable-pages")
 	}
 }
@@ -68,7 +68,7 @@ func BenchmarkFigure6(b *testing.B) {
 // (paper: non-BestSeller 96.2% shared → 99.5% partitioned → 99.9% ideal).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Table1(uint64(i + 1))
+		r := experiments.Options{}.Table1(uint64(i + 1))
 		b.ReportMetric(r.SharedRest, "rest-shared-pct")
 		b.ReportMetric(r.PartitionedRest, "rest-partitioned-pct")
 		b.ReportMetric(r.ExclusiveRest, "rest-exclusive-pct")
@@ -80,7 +80,7 @@ func BenchmarkTable1(b *testing.B) {
 // (paper: TPC-W 0.54 s → 5.42 s → 1.27 s after moving SIBR).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Table2(uint64(i + 1))
+		r := experiments.Options{}.Table2(uint64(i + 1))
 		b.ReportMetric(r.Rows[0].Latency, "alone-latency-s")
 		b.ReportMetric(r.Rows[1].Latency, "shared-latency-s")
 		b.ReportMetric(r.Rows[2].Latency, "fixed-latency-s")
@@ -91,7 +91,7 @@ func BenchmarkTable2(b *testing.B) {
 // (paper: 1.5 s → 4.8 s → 1.5 s; SIBR contributes 87% of RUBiS I/O).
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Table3(uint64(i + 1))
+		r := experiments.Options{}.Table3(uint64(i + 1))
 		b.ReportMetric(r.Rows[0].Latency, "alone-latency-s")
 		b.ReportMetric(r.Rows[1].Latency, "contended-latency-s")
 		b.ReportMetric(r.Rows[2].Latency, "fixed-latency-s")
@@ -104,7 +104,7 @@ func BenchmarkTable3(b *testing.B) {
 // second machine.
 func BenchmarkAblationQuotaVsMigrate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		quota, migrate := experiments.AblationQuotaVsMigrate(uint64(i + 1))
+		quota, migrate := experiments.Options{}.AblationQuotaVsMigrate(uint64(i + 1))
 		b.ReportMetric(float64(quota.ServersUsed), "quota-servers")
 		b.ReportMetric(quota.FinalLatency, "quota-latency-s")
 		b.ReportMetric(float64(migrate.ServersUsed), "migrate-servers")
@@ -116,7 +116,7 @@ func BenchmarkAblationQuotaVsMigrate(b *testing.B) {
 // coarse-only isolation on the consolidation scenario.
 func BenchmarkAblationFineVsCoarse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fine, coarse := experiments.AblationFineVsCoarse(uint64(i + 1))
+		fine, coarse := experiments.Options{}.AblationFineVsCoarse(uint64(i + 1))
 		b.ReportMetric(float64(fine.ServersUsed), "fine-servers")
 		b.ReportMetric(fine.RecoverySeconds, "fine-recovery-s")
 		b.ReportMetric(float64(coarse.ServersUsed), "coarse-servers")
@@ -128,7 +128,7 @@ func BenchmarkAblationFineVsCoarse(b *testing.B) {
 // detector's candidate set is compared to blanket top-k investigation.
 func BenchmarkAblationOutlierVsTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationOutlierVsTopK(uint64(i + 1))
+		r := experiments.Options{}.AblationOutlierVsTopK(uint64(i + 1))
 		b.ReportMetric(float64(r.OutlierCandidates), "outlier-candidates")
 		found := 0.0
 		if r.OutlierFoundBestSeller {
@@ -143,7 +143,7 @@ func BenchmarkAblationOutlierVsTopK(b *testing.B) {
 // flag featherweights whose ratios merely wobble.
 func BenchmarkAblationWeighting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationWeighting(uint64(i + 1))
+		r := experiments.Options{}.AblationWeighting(uint64(i + 1))
 		b.ReportMetric(float64(len(r.WeightedOutliers)), "weighted-flagged")
 		b.ReportMetric(float64(len(r.UnweightedOutliers)), "unweighted-flagged")
 		culprit := 0.0
@@ -158,7 +158,7 @@ func BenchmarkAblationWeighting(b *testing.B) {
 // flagged-class count at the paper's 1.5 setting.
 func BenchmarkAblationFences(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := experiments.AblationFences(uint64(i + 1))
+		pts := experiments.Options{}.AblationFences(uint64(i + 1))
 		for _, pt := range pts {
 			if pt.Inner == 1.5 {
 				b.ReportMetric(float64(pt.Outliers), "flagged-at-1.5")
@@ -173,7 +173,7 @@ func BenchmarkAblationFences(b *testing.B) {
 // does.
 func BenchmarkAblationMidpointVsQuota(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.AblationMidpointVsQuota(uint64(i + 1))
+		r := experiments.Options{}.AblationMidpointVsQuota(uint64(i + 1))
 		b.ReportMetric(r.SharedLRU, "rest-lru-pct")
 		b.ReportMetric(r.SharedMidpoint, "rest-midpoint-pct")
 		b.ReportMetric(r.Partitioned, "rest-quota-pct")
@@ -184,7 +184,7 @@ func BenchmarkAblationMidpointVsQuota(b *testing.B) {
 // measures the latency envelope until the controller restores capacity.
 func BenchmarkFailureRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.FailureRecovery(uint64(i + 1))
+		r, err := experiments.Options{}.FailureRecovery(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func BenchmarkFailureRecovery(b *testing.B) {
 // straggler replica).
 func BenchmarkAblationSyncVsAsync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sync, async := experiments.AblationSyncVsAsync(uint64(i + 1))
+		sync, async := experiments.Options{}.AblationSyncVsAsync(uint64(i + 1))
 		b.ReportMetric(sync.AvgLatency, "sync-latency-s")
 		b.ReportMetric(async.AvgLatency, "async-latency-s")
 		b.ReportMetric(sync.WIPS, "sync-wips")
@@ -213,7 +213,7 @@ func BenchmarkAblationSyncVsAsync(b *testing.B) {
 // detector flags the lock-wait outlier and names the holder.
 func BenchmarkLockContention(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.LockContention(uint64(i + 1))
+		r := experiments.Options{}.LockContention(uint64(i + 1))
 		b.ReportMetric(r.StableLatency, "stable-latency-s")
 		b.ReportMetric(r.ContendedLatency, "contended-latency-s")
 		found := 0.0

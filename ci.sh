@@ -24,10 +24,12 @@ go build ./...
 # during a rollback, and concurrent admission slot reservations.
 go test -race -short -count=1 ./internal/metrics/ ./internal/obs/ ./internal/guard/ ./internal/admission/
 
-# The experiments package alone runs 15–20 min (893–1185 s on a 2-vCPU
-# linux/amd64 VM, go1.24.0) under the race detector (the chaos,
-# overload, guard and adversarial suites are full simulations × 3 seeds
-# each), so the default 10 min per-package test timeout is not enough.
+# The experiments package alone runs about 13 min under the race
+# detector (756 s on a 2-vCPU linux/amd64 VM, go1.24.0, against 1110 s
+# when its tests ran one at a time): the chaos, overload, guard and
+# adversarial suites are full simulations × 3 seeds each, run as
+# parallel subtests, so the default 10 min per-package test timeout is
+# not enough.
 go test -race -timeout 20m ./...
 
 # Seed-pinned chaos smoke run: gray-failure + flapping under seed 1,
@@ -51,14 +53,18 @@ go test -short -run 'TestOverloadProtection|TestOverloadDeterminism' -count=1 ./
 # DESIGN.md §10.
 go test -short -run TestEventCore -count=1 ./internal/experiments/
 
-# Example programs: every examples/* program must run to completion.
-# indexdrop is the one program outside internal/experiments that builds
-# a core.Controller, and its run must show the controller enforcing a
-# buffer-pool quota.
+# Example programs: every examples/* program must run to completion, and
+# a second run must print byte-identical output, so no example's output
+# may follow Go map order. indexdrop is the one program outside
+# internal/experiments that builds a core.Controller, and its run must
+# show the controller enforcing a buffer-pool quota.
 BENCH_TMP="$(mktemp -d)"
 trap 'rm -rf "$BENCH_TMP"' EXIT
 for ex in examples/*/; do
-	go run "./$ex" >"$BENCH_TMP/example_$(basename "$ex").txt"
+	name="$(basename "$ex")"
+	go run "./$ex" >"$BENCH_TMP/example_$name.txt"
+	go run "./$ex" >"$BENCH_TMP/example_${name}_rerun.txt"
+	diff "$BENCH_TMP/example_$name.txt" "$BENCH_TMP/example_${name}_rerun.txt"
 done
 grep -q enforce-quota "$BENCH_TMP/example_indexdrop.txt"
 

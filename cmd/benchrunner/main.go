@@ -7,7 +7,9 @@
 //
 // Experiments: fig3, fig4, fig5, fig6, table1, table2, table3, ablations,
 // chaos, overload, flash-crowd, diurnal-shift, olap-antagonist,
-// trace-replay.
+// trace-replay-identity. Names resolve through the experiments registry,
+// so its aliases (cpu, indexdrop, consolidation, iocontention,
+// trace-replay) select the same runs.
 //
 // Experiment runs also accept -wl.record FILE / -wl.replay FILE to
 // capture the offered load as a workload-trace-v2 or feed a recorded
@@ -29,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"outlierlb/internal/experiments"
@@ -37,9 +40,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all",
-		"experiment to run: fig3|fig4|fig5|fig6|table1|table2|table3|ablations|chaos|overload|"+
-			"flash-crowd|diurnal-shift|olap-antagonist|trace-replay|all")
+	exp := flag.String("exp", "all", "experiment to run: "+strings.Join(allOrder, "|")+"|all")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit figures as CSV series instead of aligned text")
 	obsAddr := flag.String("obs.addr", "", "serve /metrics and /debug endpoints on this address (e.g. :9090)")
@@ -104,8 +105,9 @@ func main() {
 		return
 	}
 
-	ctrlFlags.Apply()
-	if err := wlFlags.Apply(); err != nil {
+	var opts experiments.Options
+	ctrlFlags.Apply(&opts)
+	if err := wlFlags.Apply(&opts); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(2)
 	}
@@ -133,44 +135,70 @@ func main() {
 		session.WaitForInterrupt()
 	}()
 
-	runners := map[string]func(uint64, bool){
-		"fig3":            runFig3,
-		"fig4":            runFig4,
-		"fig5":            runFig5,
-		"fig6":            runFig6,
-		"table1":          runTable1,
-		"table2":          runTable2,
-		"table3":          runTable3,
-		"ablations":       runAblations,
-		"chaos":           runChaosSuite,
-		"overload":        runOverload,
-		"flash-crowd":     runTemporal("flash-crowd", experiments.FlashCrowd),
-		"diurnal-shift":   runTemporal("diurnal-shift", experiments.DiurnalShift),
-		"olap-antagonist": runTemporal("olap-antagonist", experiments.OLAPAntagonist),
-		"trace-replay":    runTemporal("trace-replay-identity", experiments.TraceReplayIdentity),
-	}
-	names := []string{"fig3", "fig4", "fig5", "fig6", "table1", "table2", "table3", "ablations", "chaos", "overload",
-		"flash-crowd", "diurnal-shift", "olap-antagonist", "trace-replay"}
+	session.Apply(&opts)
 
 	want := strings.ToLower(*exp)
 	if want == "all" {
-		for _, n := range names {
-			runners[n](*seed, *csv)
+		for _, n := range allOrder {
+			runExp(opts, n, *seed, *csv)
 			fmt.Println()
 		}
 		return
 	}
-	run, ok := runners[want]
-	if !ok {
+	if sc, ok := experiments.Lookup(want); ok {
+		want = sc.Name
+	}
+	if !slices.Contains(allOrder, want) {
 		fmt.Fprintf(os.Stderr, "benchrunner: unknown experiment %q (want %s or all)\n",
-			want, strings.Join(names, "|"))
+			want, strings.Join(allOrder, "|"))
 		os.Exit(2)
 	}
-	run(*seed, *csv)
+	runExp(opts, want, *seed, *csv)
 }
 
-func runFig3(seed uint64, csv bool) {
-	r := experiments.Figure3(seed)
+// allOrder is -exp all's run order: registry entries by canonical name,
+// plus the ablations and chaos groupings.
+var allOrder = []string{"fig3", "fig4", "fig5", "fig6", "table1", "table2", "table3", "ablations", "chaos",
+	"overload", "flash-crowd", "diurnal-shift", "olap-antagonist", "trace-replay-identity"}
+
+// runExp runs one -exp name and prints it in the paper's shape; the
+// result's type picks the printer.
+func runExp(o experiments.Options, name string, seed uint64, csv bool) {
+	switch name {
+	case "ablations":
+		runAblations(o, seed)
+		return
+	case "chaos":
+		runChaosSuite(o, seed, csv)
+		return
+	}
+	sc, _ := experiments.Lookup(name)
+	res, err := sc.Run(o, seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", name, err)
+		os.Exit(1)
+	}
+	switch r := res.(type) {
+	case *experiments.Figure3Result:
+		printFig3(r, csv)
+	case *experiments.Figure4Result:
+		printFig4(r, csv)
+	case *experiments.MRCResult:
+		printMRC(mrcFigures[name], r, csv)
+	case *experiments.Table1Result:
+		printTable1(r)
+	case *experiments.Table2Result:
+		printTable2(r)
+	case *experiments.Table3Result:
+		printTable3(r)
+	case *experiments.OverloadResult:
+		printOverload(r, csv)
+	case *experiments.TemporalResult:
+		printTemporal(r, seed, csv)
+	}
+}
+
+func printFig3(r *experiments.Figure3Result, csv bool) {
 	fmt.Println("=== Figure 3: alleviation of CPU contention (§5.2) ===")
 	if csv {
 		fmt.Println("time,clients,machines,latency")
@@ -200,8 +228,7 @@ func runFig3(seed uint64, csv bool) {
 	}
 }
 
-func runFig4(seed uint64, csv bool) {
-	r := experiments.Figure4(seed)
+func printFig4(r *experiments.Figure4Result, csv bool) {
 	fmt.Println("=== Figure 4: dropping the O_DATE index (§5.3) ===")
 	fmt.Println("ratios of measured values to stable-state averages per query class:")
 	if csv {
@@ -221,7 +248,15 @@ func runFig4(seed uint64, csv bool) {
 	fmt.Printf("confirmed by MRC change: %v (paper: BestSeller)\n", r.Confirmed)
 }
 
-func printMRC(r *experiments.MRCResult, csv bool) {
+// mrcFigures holds the title and the paper's acceptable memory of
+// Figures 5 and 6.
+var mrcFigures = map[string][2]string{
+	"fig5": {"Figure 5: MRC of BestSeller, normal configuration (§5.3)", "6982"},
+	"fig6": {"Figure 6: MRC of RUBiS SearchItemsByRegion (§5.4)", "≈7906"},
+}
+
+func printMRC(fig [2]string, r *experiments.MRCResult, csv bool) {
+	fmt.Printf("=== %s ===\n", fig[0])
 	if csv {
 		fmt.Println("memory_pages,miss_ratio")
 		for i := range r.Memory {
@@ -240,22 +275,10 @@ func printMRC(r *experiments.MRCResult, csv bool) {
 		r.Params.TotalMemory, r.Params.IdealMissRatio)
 	fmt.Printf("acceptable memory: %d pages (acceptable miss ratio %.3f)\n",
 		r.Params.AcceptableMemory, r.Params.AcceptableMissRatio)
+	fmt.Printf("paper: acceptable memory %s pages\n", fig[1])
 }
 
-func runFig5(seed uint64, csv bool) {
-	fmt.Println("=== Figure 5: MRC of BestSeller, normal configuration (§5.3) ===")
-	printMRC(experiments.Figure5(seed), csv)
-	fmt.Println("paper: acceptable memory 6982 pages")
-}
-
-func runFig6(seed uint64, csv bool) {
-	fmt.Println("=== Figure 6: MRC of RUBiS SearchItemsByRegion (§5.4) ===")
-	printMRC(experiments.Figure6(seed), csv)
-	fmt.Println("paper: acceptable memory ≈7906 pages")
-}
-
-func runTable1(seed uint64, _ bool) {
-	r := experiments.Table1(seed)
+func printTable1(r *experiments.Table1Result) {
 	fmt.Println("=== Table 1: hit ratio of buffer-pool managements (§5.3) ===")
 	fmt.Printf("%-16s %14s %18s %18s\n", "", "Shared Buffer", "Partitioned Buffer", "Exclusive Buffer")
 	fmt.Printf("%-16s %13.1f%% %17.1f%% %17.1f%%\n", "BestSeller", r.SharedBest, r.PartitionedBest, r.ExclusiveBest)
@@ -267,8 +290,7 @@ func runTable1(seed uint64, _ bool) {
 	fmt.Println("  Non-BestSeller  96.2%             99.5%            99.9%")
 }
 
-func runTable2(seed uint64, _ bool) {
-	r := experiments.Table2(seed)
+func printTable2(r *experiments.Table2Result) {
 	fmt.Println("=== Table 2: memory contention in a shared buffer pool (§5.4) ===")
 	fmt.Printf("%-38s %10s %10s\n", "placement", "latency(s)", "WIPS")
 	for _, row := range r.Rows {
@@ -281,8 +303,7 @@ func runTable2(seed uint64, _ bool) {
 	fmt.Println("paper: 0.54s/6.57 → 5.42s/4.29 → 1.27s/6.44")
 }
 
-func runTable3(seed uint64, _ bool) {
-	r := experiments.Table3(seed)
+func printTable3(r *experiments.Table3Result) {
 	fmt.Println("=== Table 3: I/O contention among VM domains (§5.5) ===")
 	fmt.Printf("%-10s %-24s %10s %10s\n", "domain-1", "domain-2", "latency(s)", "WIPS")
 	for _, row := range r.Rows {
@@ -293,35 +314,31 @@ func runTable3(seed uint64, _ bool) {
 	fmt.Println("paper: 1.5s/97 → 4.8s/30 → 1.5s/95")
 }
 
-func runChaosSuite(seed uint64, csv bool) {
+// runChaosSuite runs the chaos grouping: three registry entries, one
+// table.
+func runChaosSuite(o experiments.Options, seed uint64, csv bool) {
 	fmt.Println("=== Chaos: replica health management under injected faults ===")
-	scenarios := []struct {
-		name string
-		fn   func(uint64) (*experiments.ChaosResult, error)
-	}{
-		{"gray-failure", experiments.ChaosGrayFailure},
-		{"flapping", experiments.ChaosFlapping},
-		{"metric-blackout", experiments.ChaosMetricBlackout},
-	}
 	if csv {
 		fmt.Println("scenario,healthy,fault,final,errors,trips,recoveries,retries,degraded,provisions,shrinks,target_healthy")
 	} else {
 		fmt.Printf("%-16s %8s %8s %8s %7s %6s %6s %8s %9s %8s %7s\n",
 			"scenario", "healthy", "fault", "final", "errors", "trips", "recov", "retries", "degraded", "actions", "healthy")
 	}
-	for _, sc := range scenarios {
-		r, err := sc.fn(seed)
+	for _, name := range []string{"gray-failure", "flapping", "metric-blackout"} {
+		sc, _ := experiments.Lookup(name)
+		res, err := sc.Run(o, seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", sc.name, err)
+			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", name, err)
 			os.Exit(1)
 		}
+		r := res.(*experiments.ChaosResult)
 		if csv {
 			fmt.Printf("%s,%.4f,%.4f,%.4f,%d,%d,%d,%d,%d,%d,%d,%v\n",
-				sc.name, r.HealthyLatency, r.FaultLatency, r.FinalLatency, r.ClientErrors,
+				name, r.HealthyLatency, r.FaultLatency, r.FinalLatency, r.ClientErrors,
 				r.BreakerTrips, r.Recoveries, r.Retries, r.DegradedEvents, r.Provisions, r.Shrinks, r.TargetHealthy)
 		} else {
 			fmt.Printf("%-16s %7.3fs %7.3fs %7.3fs %7d %6d %6d %8d %9d %3d+%-3d %7v\n",
-				sc.name, r.HealthyLatency, r.FaultLatency, r.FinalLatency, r.ClientErrors,
+				name, r.HealthyLatency, r.FaultLatency, r.FinalLatency, r.ClientErrors,
 				r.BreakerTrips, r.Recoveries, r.Retries, r.DegradedEvents, r.Provisions, r.Shrinks, r.TargetHealthy)
 		}
 	}
@@ -331,13 +348,8 @@ func runChaosSuite(seed uint64, csv bool) {
 	}
 }
 
-func runOverload(seed uint64, csv bool) {
+func printOverload(r *experiments.OverloadResult, csv bool) {
 	fmt.Println("=== Overload: admission control and impact-ranked load shedding ===")
-	r, err := experiments.Overload(seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchrunner: overload:", err)
-		os.Exit(1)
-	}
 	if csv {
 		fmt.Println("nominal,peak,protected,final,errors,shed_interactions,resheds,readmits,shed_order")
 		fmt.Printf("%.4f,%.4f,%.4f,%.4f,%d,%d,%d,%d,%s\n",
@@ -355,55 +367,48 @@ func runOverload(seed uint64, csv bool) {
 	fmt.Println("everything readmitted and zero rejections once load returns to nominal")
 }
 
-// runTemporal adapts one temporal-workload scenario (flash-crowd,
-// diurnal-shift, olap-antagonist, trace-replay-identity) to the -exp
-// runner shape. The CSV form emits one row per run for sweeps.
-func runTemporal(name string, fn func(uint64) (*experiments.TemporalResult, error)) func(uint64, bool) {
-	return func(seed uint64, csv bool) {
-		r, err := fn(seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		sc := r.Scorecard
-		if csv {
-			fmt.Println("scenario,seed,baseline,surge,final,errors,offered,shed,provisions,shrinks,detected,mitigated,recovered,t_detect,t_mitigate,t_recover")
-			fmt.Printf("%s,%d,%.4f,%.4f,%.4f,%d,%d,%d,%d,%d,%v,%v,%v,%.0f,%.0f,%.0f\n",
-				name, seed, r.BaselineLatency, r.SurgeLatency, r.FinalLatency, r.ClientErrors,
-				r.Offered, r.Shed, r.Provisions, r.Shrinks,
-				sc.Detected, sc.Mitigated, sc.Recovered,
-				sc.TimeToDetect, sc.TimeToMitigate, sc.TimeToRecover)
-			return
-		}
-		fmt.Printf("=== Temporal: %s ===\n", name)
-		fmt.Printf("latency: baseline %.3fs → surge %.3fs → final %.3fs\n",
-			r.BaselineLatency, r.SurgeLatency, r.FinalLatency)
-		fmt.Printf("offered: %d interactions (%d shed by admission), client errors %d\n",
-			r.Offered, r.Shed, r.ClientErrors)
-		fmt.Printf("capacity: %d provision(s), %d shrink(s); final met streak %d interval(s)\n",
-			r.Provisions, r.Shrinks, r.FinalMetStreak)
-		fmt.Printf("scorecard: detected=%v (%s, +%.0fs) mitigated=%v (%s, +%.0fs) recovered=%v (+%.0fs after clear)\n",
-			sc.Detected, sc.DetectKind, sc.TimeToDetect, sc.Mitigated, sc.MitigateKind, sc.TimeToMitigate,
-			sc.Recovered, sc.TimeToRecover)
-		for _, a := range r.Actions {
-			fmt.Println("  action:", a)
-		}
+// printTemporal prints one temporal-workload run (flash-crowd,
+// diurnal-shift, olap-antagonist, trace-replay-identity). The CSV form
+// emits one row per run for sweeps.
+func printTemporal(r *experiments.TemporalResult, seed uint64, csv bool) {
+	sc := r.Scorecard
+	if csv {
+		fmt.Println("scenario,seed,baseline,surge,final,errors,offered,shed,provisions,shrinks,detected,mitigated,recovered,t_detect,t_mitigate,t_recover")
+		fmt.Printf("%s,%d,%.4f,%.4f,%.4f,%d,%d,%d,%d,%d,%v,%v,%v,%.0f,%.0f,%.0f\n",
+			r.Scenario, seed, r.BaselineLatency, r.SurgeLatency, r.FinalLatency, r.ClientErrors,
+			r.Offered, r.Shed, r.Provisions, r.Shrinks,
+			sc.Detected, sc.Mitigated, sc.Recovered,
+			sc.TimeToDetect, sc.TimeToMitigate, sc.TimeToRecover)
+		return
+	}
+	fmt.Printf("=== Temporal: %s ===\n", r.Scenario)
+	fmt.Printf("latency: baseline %.3fs → surge %.3fs → final %.3fs\n",
+		r.BaselineLatency, r.SurgeLatency, r.FinalLatency)
+	fmt.Printf("offered: %d interactions (%d shed by admission), client errors %d\n",
+		r.Offered, r.Shed, r.ClientErrors)
+	fmt.Printf("capacity: %d provision(s), %d shrink(s); final met streak %d interval(s)\n",
+		r.Provisions, r.Shrinks, r.FinalMetStreak)
+	fmt.Printf("scorecard: detected=%v (%s, +%.0fs) mitigated=%v (%s, +%.0fs) recovered=%v (+%.0fs after clear)\n",
+		sc.Detected, sc.DetectKind, sc.TimeToDetect, sc.Mitigated, sc.MitigateKind, sc.TimeToMitigate,
+		sc.Recovered, sc.TimeToRecover)
+	for _, a := range r.Actions {
+		fmt.Println("  action:", a)
 	}
 }
 
-func runAblations(seed uint64, _ bool) {
+func runAblations(o experiments.Options, seed uint64) {
 	fmt.Println("=== Ablations (design choices) ===")
-	quota, migrate := experiments.AblationQuotaVsMigrate(seed)
+	quota, migrate := o.AblationQuotaVsMigrate(seed)
 	fmt.Printf("quota vs migrate (index drop): quota %d server(s) at %.3fs; migrate %d server(s) at %.3fs\n",
 		quota.ServersUsed, quota.FinalLatency, migrate.ServersUsed, migrate.FinalLatency)
-	fine, coarse := experiments.AblationFineVsCoarse(seed)
+	fine, coarse := o.AblationFineVsCoarse(seed)
 	fmt.Printf("fine vs coarse (consolidation): fine %d server(s), recovery %.0fs; coarse %d server(s), recovery %.0fs\n",
 		fine.ServersUsed, fine.RecoverySeconds, coarse.ServersUsed, coarse.RecoverySeconds)
-	otk := experiments.AblationOutlierVsTopK(seed)
+	otk := o.AblationOutlierVsTopK(seed)
 	fmt.Printf("outlier vs top-k: detector examined %d classes (culprit found: %v); blanket top-%d\n",
 		otk.OutlierCandidates, otk.OutlierFoundBestSeller, otk.TopKCandidates)
 	fmt.Println("fence sweep (inner multiplier → flagged classes):")
-	for _, pt := range experiments.AblationFences(seed) {
+	for _, pt := range o.AblationFences(seed) {
 		fmt.Printf("  %.1f → %d (culprit flagged: %v)\n", pt.Inner, pt.Outliers, pt.HasBestSeller)
 	}
 }

@@ -19,87 +19,6 @@ import (
 	"outlierlb/internal/resil"
 )
 
-// resilScenario is one entry of the resilience sweep. wantMitigate
-// marks scenarios where the control plane must visibly act (retry,
-// breaker trip, retuning action); the adversarial metric-integrity
-// scenarios leave it false because their correct response is to absorb
-// the lying input without acting at all. wantRevert marks the
-// pathological-policy runs, where a scorecard without a watchdog
-// rollback means the guard slept through the fault.
-type resilScenario struct {
-	name         string
-	wantMitigate bool
-	wantRevert   bool
-	run          func(seed uint64) (resil.Scorecard, error)
-}
-
-func resilScenarios() []resilScenario {
-	chaos := func(fn func(uint64) (*experiments.ChaosResult, error)) func(uint64) (resil.Scorecard, error) {
-		return func(seed uint64) (resil.Scorecard, error) {
-			r, err := fn(seed)
-			if err != nil {
-				return resil.Scorecard{}, err
-			}
-			return r.Scorecard, nil
-		}
-	}
-	defs := []resilScenario{
-		{name: "gray-failure", wantMitigate: true, run: chaos(experiments.ChaosGrayFailure)},
-		{name: "flapping", wantMitigate: true, run: chaos(experiments.ChaosFlapping)},
-		{name: "metric-blackout", wantMitigate: true, run: chaos(experiments.ChaosMetricBlackout)},
-		{name: "byzantine-metrics", run: chaos(experiments.ChaosByzantineMetrics)},
-		{name: "snapshot-corruption", run: chaos(experiments.ChaosSnapshotCorruption)},
-		{name: "clock-skew", run: chaos(experiments.ChaosClockSkew)},
-		// The control-channel scenarios attack the message channel itself.
-		// Partitions and loss must be visibly acted on (epoch fences,
-		// retransmissions); delayed snapshots are an absorb-only scenario —
-		// the staleness guard rejects the old reports and nothing else
-		// should happen.
-		{name: "ctrl-partition", wantMitigate: true, run: chaos(experiments.ChaosCtrlPartition)},
-		{name: "ctrl-asym-partition", wantMitigate: true, run: chaos(experiments.ChaosCtrlAsymPartition)},
-		{name: "ctrl-lossy", wantMitigate: true, run: chaos(experiments.ChaosCtrlLossy)},
-		{name: "ctrl-delayed-snapshots", run: chaos(experiments.ChaosCtrlDelayedSnapshots)},
-	}
-	// The temporal scenarios stress the control plane with load shape
-	// rather than injected faults: the surge window is the scorecard's
-	// fault window, and every one of them demands visible mitigation
-	// (provisioning, brownout shedding, or coarse isolation).
-	// trace-replay-identity additionally fails outright if the replayed
-	// run diverges from the recorded one, so replay fidelity is gated
-	// here too.
-	temporal := func(fn func(uint64) (*experiments.TemporalResult, error)) func(uint64) (resil.Scorecard, error) {
-		return func(seed uint64) (resil.Scorecard, error) {
-			r, err := fn(seed)
-			if err != nil {
-				return resil.Scorecard{}, err
-			}
-			return r.Scorecard, nil
-		}
-	}
-	defs = append(defs,
-		resilScenario{name: "flash-crowd", wantMitigate: true, run: temporal(experiments.FlashCrowd)},
-		resilScenario{name: "diurnal-shift", wantMitigate: true, run: temporal(experiments.DiurnalShift)},
-		resilScenario{name: "olap-antagonist", wantMitigate: true, run: temporal(experiments.OLAPAntagonist)},
-		resilScenario{name: "trace-replay-identity", wantMitigate: true, run: temporal(experiments.TraceReplayIdentity)},
-	)
-	for _, tpl := range experiments.GuardTemplates() {
-		tpl := tpl
-		defs = append(defs, resilScenario{
-			name:         "guard-" + tpl,
-			wantMitigate: true,
-			wantRevert:   true,
-			run: func(seed uint64) (resil.Scorecard, error) {
-				r, err := experiments.GuardScenario(seed, tpl)
-				if err != nil {
-					return resil.Scorecard{}, err
-				}
-				return r.Scorecard, nil
-			},
-		})
-	}
-	return defs
-}
-
 // parseSeeds turns "1,2,3" into seeds; empty means the pinned default.
 func parseSeeds(s string) ([]uint64, error) {
 	if s == "" {
@@ -116,44 +35,36 @@ func parseSeeds(s string) ([]uint64, error) {
 	return out, nil
 }
 
-// runResil executes the resilience sweep. filter selects scenarios by
-// exact name ("" or "all" runs everything); assertBudget > 0 turns the
-// run into a gate: every scorecard must be detected, mitigated and
-// recovered within the budget (virtual seconds), and the guard
-// scenarios must additionally show a watchdog rollback.
+// runResil executes the resilience sweep over the registry's scored
+// entries. filter selects them by canonical name or alias ("" or "all"
+// runs every one); assert turns the run into a gate: every scorecard
+// must be detected, mitigated where the entry wants it, and recovered
+// within assertBudget (virtual seconds), and the guard scenarios must
+// additionally show a watchdog rollback.
 func runResil(filter, seedList, out string, force bool, assert bool, assertBudget float64) {
 	seeds, err := parseSeeds(seedList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner: -resil.seeds:", err)
 		os.Exit(2)
 	}
-	all := resilScenarios()
-	var picked []resilScenario
-	if filter == "" || filter == "all" {
-		picked = all
-	} else {
-		want := map[string]bool{}
+	var scored []experiments.Scenario
+	var names []string
+	for _, sc := range experiments.Scenarios() {
+		if sc.Scored {
+			scored = append(scored, sc)
+			names = append(names, sc.Name)
+		}
+	}
+	want := map[string]bool{}
+	if filter != "" && filter != "all" {
 		for _, n := range strings.Split(filter, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		for _, sc := range all {
-			if want[sc.name] {
-				picked = append(picked, sc)
-				delete(want, sc.name)
+			sc, ok := experiments.Lookup(strings.TrimSpace(n))
+			if !ok || !sc.Scored {
+				fmt.Fprintf(os.Stderr, "benchrunner: unknown -resil.scenarios %q (want %s)\n",
+					n, strings.Join(names, "|"))
+				os.Exit(2)
 			}
-		}
-		if len(want) > 0 {
-			var names []string
-			for _, sc := range all {
-				names = append(names, sc.name)
-			}
-			var unknown []string
-			for n := range want {
-				unknown = append(unknown, n)
-			}
-			fmt.Fprintf(os.Stderr, "benchrunner: unknown -resil.scenarios %v (want %s)\n",
-				unknown, strings.Join(names, "|"))
-			os.Exit(2)
+			want[sc.Name] = true
 		}
 	}
 
@@ -161,16 +72,20 @@ func runResil(filter, seedList, out string, force bool, assert bool, assertBudge
 	fmt.Printf("%-34s %5s %8s %8s %8s %8s %7s %7s %7s\n",
 		"scenario", "seed", "detect", "mitigate", "recover", "revert", "t_det", "t_mit", "t_rec")
 	failures := 0
-	for _, sc := range picked {
+	for _, sc := range scored {
+		if len(want) > 0 && !want[sc.Name] {
+			continue
+		}
 		for _, seed := range seeds {
-			card, err := sc.run(seed)
+			res, err := sc.Run(experiments.Options{}, seed)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchrunner: %s seed=%d: %v\n", sc.name, seed, err)
+				fmt.Fprintf(os.Stderr, "benchrunner: %s seed=%d: %v\n", sc.Name, seed, err)
 				os.Exit(1)
 			}
+			card := experiments.ScorecardOf(res)
 			doc.Scorecards = append(doc.Scorecards, card)
 			fmt.Printf("%-34s %5d %8v %8v %8v %8v %7.0f %7.0f %7.0f\n",
-				sc.name, seed, card.Detected, card.Mitigated, card.Recovered, card.Reverted,
+				sc.Name, seed, card.Detected, card.Mitigated, card.Recovered, card.Reverted,
 				card.TimeToDetect, card.TimeToMitigate, card.TimeToRecover)
 			if !assert {
 				continue
@@ -178,17 +93,17 @@ func runResil(filter, seedList, out string, force bool, assert bool, assertBudge
 			verdict := func(cond bool, msg string) {
 				if !cond {
 					failures++
-					fmt.Fprintf(os.Stderr, "benchrunner: ASSERT %s seed=%d: %s\n", sc.name, seed, msg)
+					fmt.Fprintf(os.Stderr, "benchrunner: ASSERT %s seed=%d: %s\n", sc.Name, seed, msg)
 				}
 			}
 			verdict(card.Detected, "fault not detected")
-			if sc.wantMitigate {
+			if sc.WantMitigate {
 				verdict(card.Mitigated, "fault not mitigated")
 			}
 			verdict(card.Recovered && card.TimeToRecover >= 0 && card.TimeToRecover <= assertBudget,
 				fmt.Sprintf("not recovered within %.0fs (recovered=%v t_rec=%.0fs)",
 					assertBudget, card.Recovered, card.TimeToRecover))
-			if sc.wantRevert {
+			if sc.WantRevert {
 				verdict(card.Reverted, "watchdog never rolled back the pathological action")
 			}
 		}

@@ -1,23 +1,11 @@
-// Outlierlb runs the paper's dynamic-change scenarios end-to-end and
-// narrates the controller's diagnosis and retuning actions.
+// Outlierlb runs any scenario of the experiments registry end-to-end
+// and narrates the controller's diagnosis and retuning actions:
 //
-//	outlierlb -scenario cpu            # §5.2 sinusoid load, reactive provisioning
-//	outlierlb -scenario indexdrop      # §5.3 O_DATE index drop, quota enforcement
-//	outlierlb -scenario consolidation  # §5.4 two apps in one DBMS, class reschedule
-//	outlierlb -scenario iocontention   # §5.5 two VMs, dom-0 I/O interference
-//	outlierlb -scenario lockcontention # §7 future work: lock-wait outliers
-//	outlierlb -scenario failure        # §7 future work: replica crash + recovery
-//	outlierlb -scenario grayfailure    # chaos: one replica's disk degrades 8x
-//	outlierlb -scenario flapping       # chaos: one replica cycles down/up
-//	outlierlb -scenario blackout       # chaos: one server's metrics go dark
-//	outlierlb -scenario overload       # chaos: 2x load pulse, impact-ranked shedding
-//	outlierlb -scenario byzantine      # adversarial: one replica's monitoring lies
-//	outlierlb -scenario snapcorrupt    # adversarial: dropped + duplicated snapshots
-//	outlierlb -scenario clockskew      # adversarial: the controller's clock jumps
+//	outlierlb                          # list every scenario with its aliases
+//	outlierlb -scenario fig3           # §5.2 sinusoid load, reactive provisioning (alias cpu)
+//	outlierlb -scenario table2         # §5.4 two apps in one DBMS, class reschedule (consolidation)
+//	outlierlb -scenario gray-failure   # chaos: one replica's disk degrades 8x (grayfailure)
 //	outlierlb -scenario flash-crowd    # temporal: referral surge over an OLTP baseline
-//	outlierlb -scenario diurnal-shift  # temporal: day/night cycle, provision/shrink
-//	outlierlb -scenario olap-antagonist # temporal: scan-heavy OLAP beside OLTP (§5.4)
-//	outlierlb -scenario trace-replay-identity # record→replay bit-identity check
 //	outlierlb -scenario guard-...      # pathological policy under the action watchdog
 //	outlierlb -record tpcw.trace       # dump a TPC-W page-access trace for mrctool
 //
@@ -43,107 +31,11 @@ import (
 	"outlierlb/internal/workload/tpcw"
 )
 
-// scenarioDef registers one runnable scenario: its flag value, the
-// one-line description printed by the usage listing, and the runner.
-type scenarioDef struct {
-	name string
-	desc string
-	run  func(seed uint64)
-}
-
-// scenarios is the full registry, in listing order. -scenario values
-// are validated against it up front, so a typo fails fast with the
-// valid names instead of silently running nothing.
-func scenarios() []scenarioDef {
-	defs := []scenarioDef{
-		{"cpu", "§5.2 sinusoid load, reactive provisioning", runCPU},
-		{"indexdrop", "§5.3 O_DATE index drop, quota enforcement", runIndexDrop},
-		{"consolidation", "§5.4 two apps in one DBMS, class reschedule", runConsolidation},
-		{"iocontention", "§5.5 two VMs, dom-0 I/O interference", runIOContention},
-		{"lockcontention", "§7 future work: lock-wait outliers", runLockContention},
-		{"failure", "§7 future work: replica crash + recovery", runFailure},
-		{"grayfailure", "chaos: one replica's disk degrades 8x for 200s", func(seed uint64) {
-			runChaos(seed, "one replica's disk degrades 8x for 200s (gray failure: it answers, slowly)",
-				experiments.ChaosGrayFailure)
-		}},
-		{"flapping", "chaos: one replica cycles down/up every ~15s", func(seed uint64) {
-			runChaos(seed, "one replica cycles down/up every ~15s for 120s",
-				experiments.ChaosFlapping)
-		}},
-		{"blackout", "chaos: one server's metrics go dark for 150s", func(seed uint64) {
-			runChaos(seed, "one server's monitoring goes dark for 150s while it keeps serving",
-				experiments.ChaosMetricBlackout)
-		}},
-		{"overload", "chaos: 2x load pulse, impact-ranked shedding", runOverload},
-		{"byzantine", "adversarial: one replica's monitoring lies (scaled CPU, inflated latency)", func(seed uint64) {
-			runChaos(seed, "one healthy replica's monitoring lies for 200s (scaled CPU, 8x latency snapshots)",
-				experiments.ChaosByzantineMetrics)
-		}},
-		{"snapcorrupt", "adversarial: one engine's snapshots dropped, then duplicated", func(seed uint64) {
-			runChaos(seed, "one engine's snapshots are dropped for 95s, then a stale snapshot is re-delivered for 95s",
-				experiments.ChaosSnapshotCorruption)
-		}},
-		{"clockskew", "adversarial: the controller's clock steps +60s and back", func(seed uint64) {
-			runChaos(seed, "the controller's clock steps +60s at t=200s and back at t=400s",
-				experiments.ChaosClockSkew)
-		}},
-		{"ctrl-partition", "control channel: the controller is partitioned from every engine for 150s", func(seed uint64) {
-			runChaos(seed, "the controller endpoint is partitioned in both directions for 150s: "+
-				"unreachable declarations, epoch fencing, engine autonomy, then recovery",
-				experiments.ChaosCtrlPartition)
-		}},
-		{"ctrl-asym", "control channel: one engine's link toward the controller is cut for 150s", func(seed uint64) {
-			runChaos(seed, "one engine's link toward the controller is cut for 150s (half-open): "+
-				"the controller declares it unreachable from silence while its lease keeps renewing",
-				experiments.ChaosCtrlAsymPartition)
-		}},
-		{"ctrl-lossy", "control channel: 30% loss and 15% duplication under an overload pulse", func(seed uint64) {
-			runChaos(seed, "every control link degrades to 30% loss, 15% duplication and jittered latency for 200s "+
-				"while an overload pulse forces retuning actions through it",
-				experiments.ChaosCtrlLossy)
-		}},
-		{"ctrl-delayed", "control channel: snapshot reports delayed past the measurement interval", func(seed uint64) {
-			runChaos(seed, "engine snapshot reports are delayed by 12s — past the 10s interval — for 150s: "+
-				"the staleness guard must reject them while the failure detector stays reachable",
-				experiments.ChaosCtrlDelayedSnapshots)
-		}},
-		{"flash-crowd", "temporal: referral-event crowd surges over an OLTP baseline in MMPP bursts", func(seed uint64) {
-			runTemporal(seed, "a flash crowd lands on a steady OLTP baseline at t=300s — 10s ramp to a "+
-				"160 qps peak, power-law decay — and the controller must provision into the surge",
-				experiments.FlashCrowd)
-		}},
-		{"diurnal-shift", "temporal: closed-loop clients follow a day/night cycle; provision into the peak, shrink after", func(seed uint64) {
-			runTemporal(seed, "closed-loop clients follow a diurnal cycle: the trough fits one replica, "+
-				"the midday peak does not — capacity must follow the pattern in both directions",
-				experiments.DiurnalShift)
-		}},
-		{"olap-antagonist", "temporal: a scan-heavy OLAP app co-located inside one TPC-W replica's engine", func(seed uint64) {
-			runTemporal(seed, "a scan-heavy OLAP antagonist attaches inside the second TPC-W replica's "+
-				"database engine for [300s, 500s), polluting the shared buffer pool (§5.4 co-location)",
-				experiments.OLAPAntagonist)
-		}},
-		{"trace-replay-identity", "temporal: record flash-crowd's offered load, replay it, require a bit-identical run", func(seed uint64) {
-			runTemporal(seed, "flash-crowd runs once while its offered load is recorded as workload-trace-v2, "+
-				"then the trace is replayed into a fresh identically-seeded testbed; the replayed "+
-				"run must reproduce the recorded intervals and actions byte-for-byte",
-				experiments.TraceReplayIdentity)
-		}},
-	}
-	for _, tpl := range experiments.GuardTemplates() {
-		tpl := tpl
-		defs = append(defs, scenarioDef{
-			"guard-" + tpl,
-			"pathological " + tpl + " policy under the action watchdog",
-			func(seed uint64) { runGuard(seed, tpl) },
-		})
-	}
-	return defs
-}
-
+// scenarioNames lists the canonical names for the -scenario usage.
 func scenarioNames() string {
 	var names []string
-	for _, d := range scenarios() {
-		names = append(names, d.name)
+	for _, sc := range experiments.Scenarios() {
+		names = append(names, sc.Name)
 	}
 	return strings.Join(names, "|")
 }
@@ -168,7 +60,6 @@ func main() {
 	ctrlFlags := obscli.RegisterCtrlFlags()
 	wlFlags := obscli.RegisterWlFlags()
 	flag.Parse()
-	ctrlFlags.Apply()
 
 	if *record != "" {
 		// -record dumps a page-access trace and exits without running a
@@ -188,22 +79,19 @@ func main() {
 	// Validate -scenario before any session or simulation state exists:
 	// a typo must fail fast with the valid names, not start an obs
 	// server and then die.
-	var chosen *scenarioDef
-	for _, d := range scenarios() {
-		if d.name == *scenario {
-			d := d
-			chosen = &d
-			break
-		}
-	}
-	if chosen == nil {
+	sc, ok := experiments.Lookup(*scenario)
+	if !ok {
 		if *scenario == "" {
-			fmt.Fprintln(os.Stderr, "outlierlb: need -scenario NAME or -record FILE; scenarios:")
+			fmt.Fprintln(os.Stderr, "outlierlb: need -scenario NAME or -record FILE; scenarios (aliases in parentheses):")
 		} else {
-			fmt.Fprintf(os.Stderr, "outlierlb: unknown scenario %q; valid scenarios:\n", *scenario)
+			fmt.Fprintf(os.Stderr, "outlierlb: unknown scenario %q; valid scenarios (aliases in parentheses):\n", *scenario)
 		}
-		for _, d := range scenarios() {
-			fmt.Fprintf(os.Stderr, "  %-35s %s\n", d.name, d.desc)
+		for _, d := range experiments.Scenarios() {
+			name := d.Name
+			if len(d.Aliases) > 0 {
+				name += " (" + strings.Join(d.Aliases, ", ") + ")"
+			}
+			fmt.Fprintf(os.Stderr, "  %-38s %s\n", name, d.Doc)
 		}
 		os.Exit(2)
 	}
@@ -224,12 +112,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(1)
 	}
-	if err := wlFlags.Apply(); err != nil {
+	var opts experiments.Options
+	ctrlFlags.Apply(&opts)
+	session.Apply(&opts)
+	if err := wlFlags.Apply(&opts); err != nil {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(2)
 	}
 
-	chosen.run(*seed)
+	fmt.Println("scenario:", sc.About)
+	fmt.Println()
+	res, err := sc.Run(opts, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "outlierlb:", err)
+		os.Exit(1)
+	}
+	report(opts, *seed, res)
 
 	if err := wlFlags.Finish(); err != nil {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
@@ -239,14 +137,47 @@ func main() {
 	session.WaitForInterrupt()
 }
 
-func runTemporal(seed uint64, desc string, fn func(uint64) (*experiments.TemporalResult, error)) {
-	fmt.Println("scenario:", desc)
-	fmt.Println()
-	r, err := fn(seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "outlierlb:", err)
-		os.Exit(1)
+// report prints a run's result; the result's type picks the layout.
+// The §5.3 index-drop report also compares the two remedies, as the
+// paper does.
+func report(o experiments.Options, seed uint64, res any) {
+	switch r := res.(type) {
+	case *experiments.Figure3Result:
+		printCPU(r)
+	case *experiments.Figure4Result:
+		printIndexDrop(r)
+		quota, migrate := o.AblationQuotaVsMigrate(seed)
+		fmt.Printf("\nremedies: quota keeps 1 machine at %.3fs avg; migration spends %d machines for %.3fs\n",
+			quota.FinalLatency, migrate.ServersUsed, migrate.FinalLatency)
+	case *experiments.MRCResult:
+		fmt.Printf("%s: total memory %d pages (ideal miss ratio %.3f), acceptable memory %d pages (miss ratio %.3f)\n",
+			r.Class, r.Params.TotalMemory, r.Params.IdealMissRatio, r.Params.AcceptableMemory, r.Params.AcceptableMissRatio)
+	case *experiments.Table1Result:
+		fmt.Printf("hit ratio, shared / partitioned / exclusive: BestSeller %.1f%% / %.1f%% / %.1f%%, rest %.1f%% / %.1f%% / %.1f%%\n",
+			r.SharedBest, r.PartitionedBest, r.ExclusiveBest, r.SharedRest, r.PartitionedRest, r.ExclusiveRest)
+		fmt.Printf("BestSeller quota: %d of %d pages\n", r.BestQuota, experiments.PoolPages)
+	case *experiments.Table2Result:
+		printConsolidation(r)
+	case *experiments.Table3Result:
+		printIOContention(r)
+	case *experiments.LockResult:
+		printLockContention(r)
+	case *experiments.FailureResult:
+		printFailure(r)
+	case *experiments.OverloadResult:
+		printOverload(r)
+	case *experiments.ChaosResult:
+		printChaos(r)
+	case *experiments.TemporalResult:
+		printTemporal(r)
+	case *experiments.GuardResult:
+		printGuard(r)
+	default:
+		panic(fmt.Sprintf("outlierlb: no report for %T", res))
 	}
+}
+
+func printTemporal(r *experiments.TemporalResult) {
 	fmt.Printf("baseline latency:   %.3fs\n", r.BaselineLatency)
 	fmt.Printf("surge latency:      %.3fs\n", r.SurgeLatency)
 	fmt.Printf("final latency:      %.3fs\n", r.FinalLatency)
@@ -265,16 +196,7 @@ func runTemporal(seed uint64, desc string, fn func(uint64) (*experiments.Tempora
 	}
 }
 
-func runGuard(seed uint64, template string) {
-	fmt.Printf("scenario: pathological %s policy is switched on mid-run;\n", template)
-	fmt.Println("the action watchdog must detect each harmful action by its fitness")
-	fmt.Println("regression, roll it back, and contain the repetition")
-	fmt.Println()
-	r, err := experiments.GuardScenario(seed, template)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "outlierlb:", err)
-		os.Exit(1)
-	}
+func printGuard(r *experiments.GuardResult) {
 	fmt.Printf("policy window:      [%.0fs, %.0fs]\n", r.EnableAt, r.DisableAt)
 	fmt.Printf("protected latency:  %.3fs (inside the policy window)\n", r.ProtectedLatency)
 	fmt.Printf("final latency:      %.3fs (after the policy was pulled)\n", r.FinalLatency)
@@ -292,14 +214,7 @@ func runGuard(seed uint64, template string) {
 	}
 }
 
-func runFailure(seed uint64) {
-	fmt.Println("scenario: one of two TPC-W replicas crashes under load")
-	fmt.Println()
-	r, err := experiments.FailureRecovery(seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "outlierlb:", err)
-		os.Exit(1)
-	}
+func printFailure(r *experiments.FailureResult) {
 	fmt.Printf("healthy latency:   %.3fs (two replicas)\n", r.BeforeLatency)
 	fmt.Printf("failover latency:  %.3fs (survivor saturated)\n", r.DuringLatency)
 	fmt.Printf("recovered latency: %.3fs (replacement provisioned: %v)\n", r.AfterLatency, r.Provisioned)
@@ -310,14 +225,7 @@ func runFailure(seed uint64) {
 	}
 }
 
-func runChaos(seed uint64, desc string, fn func(uint64) (*experiments.ChaosResult, error)) {
-	fmt.Println("scenario:", desc)
-	fmt.Println()
-	r, err := fn(seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "outlierlb:", err)
-		os.Exit(1)
-	}
+func printChaos(r *experiments.ChaosResult) {
 	fmt.Printf("target replica:     %s\n", r.Target)
 	fmt.Printf("healthy latency:    %.3fs\n", r.HealthyLatency)
 	fmt.Printf("fault latency:      %.3fs\n", r.FaultLatency)
@@ -347,15 +255,7 @@ func runChaos(seed uint64, desc string, fn func(uint64) (*experiments.ChaosResul
 	}
 }
 
-func runOverload(seed uint64) {
-	fmt.Println("scenario: a 2x load pulse on a fully allocated cluster; admission control")
-	fmt.Println("sheds the lowest-impact query classes until the SLA recovers, then readmits them")
-	fmt.Println()
-	r, err := experiments.Overload(seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "outlierlb:", err)
-		os.Exit(1)
-	}
+func printOverload(r *experiments.OverloadResult) {
 	fmt.Printf("nominal latency:    %.3fs\n", r.NominalLatency)
 	fmt.Printf("peak latency:       %.3fs (before shedding bites)\n", r.PeakLatency)
 	fmt.Printf("protected latency:  %.3fs (Checkout, during overload)\n", r.ProtectedLatency)
@@ -370,11 +270,7 @@ func runOverload(seed uint64) {
 	}
 }
 
-func runLockContention(seed uint64) {
-	fmt.Println("scenario: a write query invoked with wrong arguments convoys the accounts table")
-	fmt.Println("(the paper's §7 future work: outlier detection for lock contention)")
-	fmt.Println()
-	r := experiments.LockContention(seed)
+func printLockContention(r *experiments.LockResult) {
 	fmt.Printf("stable latency:    %.3fs\n", r.StableLatency)
 	fmt.Printf("contended latency: %.3fs (%.0fx)\n", r.ContendedLatency, r.ContendedLatency/r.StableLatency)
 	fmt.Println()
@@ -386,11 +282,7 @@ func runLockContention(seed uint64) {
 	}
 }
 
-func runCPU(seed uint64) {
-	fmt.Println("scenario: sinusoid client load against TPC-W (§5.2)")
-	fmt.Println("the controller provisions replicas on CPU saturation and releases them at the trough")
-	fmt.Println()
-	r := experiments.Figure3(seed)
+func printCPU(r *experiments.Figure3Result) {
 	for i := range r.Times {
 		if i%6 != 0 && r.Latency[i] <= r.SLA {
 			continue
@@ -408,10 +300,7 @@ func runCPU(seed uint64) {
 	}
 }
 
-func runIndexDrop(seed uint64) {
-	fmt.Println("scenario: the O_DATE index is dropped; BestSeller degrades to a table scan (§5.3)")
-	fmt.Println()
-	r := experiments.Figure4(seed)
+func printIndexDrop(r *experiments.Figure4Result) {
 	fmt.Println("per-class ratios vs stable state (latency / throughput / misses / read-ahead):")
 	for i, c := range r.Classes {
 		fmt.Printf("  %2d %-22s %7.2f %7.2f %7.2f %10.2f\n", i+1, c,
@@ -419,15 +308,9 @@ func runIndexDrop(seed uint64) {
 	}
 	fmt.Printf("\noutlier contexts on memory counters: %v\n", r.MemoryOutliers)
 	fmt.Printf("MRC recomputation confirms: %v\n", r.Confirmed)
-	quota, migrate := experiments.AblationQuotaVsMigrate(seed)
-	fmt.Printf("\nremedies: quota keeps 1 machine at %.3fs avg; migration spends %d machines for %.3fs\n",
-		quota.FinalLatency, migrate.ServersUsed, migrate.FinalLatency)
 }
 
-func runConsolidation(seed uint64) {
-	fmt.Println("scenario: RUBiS starts inside TPC-W's database engine, sharing its buffer pool (§5.4)")
-	fmt.Println()
-	r := experiments.Table2(seed)
+func printConsolidation(r *experiments.Table2Result) {
 	for _, row := range r.Rows {
 		fmt.Printf("%-38s latency=%6.3fs WIPS=%6.2f\n", row.Placement, row.Latency, row.WIPS)
 	}
@@ -438,10 +321,7 @@ func runConsolidation(seed uint64) {
 	fmt.Printf("\nthe diagnosis rescheduled %q onto a different replica\n", r.MovedClass)
 }
 
-func runIOContention(seed uint64) {
-	fmt.Println("scenario: two RUBiS instances in two Xen domains on one physical server (§5.5)")
-	fmt.Println()
-	r := experiments.Table3(seed)
+func printIOContention(r *experiments.Table3Result) {
 	for _, row := range r.Rows {
 		fmt.Printf("domain-1=%-8s domain-2=%-22s latency=%6.3fs WIPS=%6.2f\n",
 			row.Domain1, row.Domain2, row.Latency, row.WIPS)

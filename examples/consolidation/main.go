@@ -18,7 +18,7 @@ import (
 func main() {
 	fmt.Println("consolidating RUBiS into TPC-W's database engine (shared 8192-page pool)")
 	fmt.Println()
-	r := experiments.Table2(7)
+	r := experiments.Options{}.Table2(7)
 	fmt.Printf("%-38s %12s %8s\n", "configuration", "TPC-W lat(s)", "WIPS")
 	for _, row := range r.Rows {
 		fmt.Printf("%-38s %12.3f %8.2f\n", row.Placement, row.Latency, row.WIPS)

@@ -19,7 +19,7 @@ import (
 func main() {
 	fmt.Println("two RUBiS instances in two Xen domains on one physical server")
 	fmt.Println()
-	r := experiments.Table3(7)
+	r := experiments.Options{}.Table3(7)
 	fmt.Printf("%-10s %-26s %12s %8s\n", "domain-1", "domain-2", "dom-1 lat(s)", "WIPS")
 	for _, row := range r.Rows {
 		fmt.Printf("%-10s %-26s %12.3f %8.2f\n", row.Domain1, row.Domain2, row.Latency, row.WIPS)

@@ -62,7 +62,8 @@ func main() {
 	interval := now
 	snap := eng.Snapshot(interval)
 	fmt.Println("per-class metrics over one measurement interval:")
-	for id, v := range snap {
+	for _, id := range eng.Classes() {
+		v := snap[id]
 		fmt.Printf("  %-12s latency=%.3fs throughput=%.1f/s accesses=%.0f/s misses=%.0f/s read-ahead=%.0f/s\n",
 			id.Class, v.Get(metrics.Latency), v.Get(metrics.Throughput),
 			v.Get(metrics.PageAccesses), v.Get(metrics.BufferMisses), v.Get(metrics.ReadAhead))

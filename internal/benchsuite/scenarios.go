@@ -379,7 +379,7 @@ func Suite() []Scenario {
 			Kind: "macro",
 			Doc:  "Figure 3: sinusoid load, reactive provisioning, 1400 s simulated",
 			Macro: func(seed uint64) (MacroMetrics, error) {
-				return intervalMetrics(experiments.Figure3(seed).Intervals), nil
+				return intervalMetrics(experiments.Options{}.Figure3(seed).Intervals), nil
 			},
 		},
 		{
@@ -387,7 +387,7 @@ func Suite() []Scenario {
 			Kind: "macro",
 			Doc:  "Figure 4: index-drop diagnosis, stable signature vs degraded plan, 520 s simulated",
 			Macro: func(seed uint64) (MacroMetrics, error) {
-				r := experiments.Figure4(seed)
+				r := experiments.Options{}.Figure4(seed)
 				return intervalMetrics([]sla.Interval{r.Measured}), nil
 			},
 		},
@@ -396,7 +396,7 @@ func Suite() []Scenario {
 			Kind: "macro",
 			Doc:  "gray-failure chaos drill: 8× disk degradation, breaker trip and recovery, 600 s simulated",
 			Macro: func(seed uint64) (MacroMetrics, error) {
-				r, err := experiments.ChaosGrayFailure(seed)
+				r, err := experiments.Options{}.ChaosGrayFailure(seed)
 				if err != nil {
 					return MacroMetrics{}, err
 				}
@@ -408,7 +408,7 @@ func Suite() []Scenario {
 			Kind: "macro",
 			Doc:  "overload protection: 2× load pulse, impact-ranked shedding and readmission, 650 s simulated",
 			Macro: func(seed uint64) (MacroMetrics, error) {
-				r, err := experiments.Overload(seed)
+				r, err := experiments.Options{}.Overload(seed)
 				if err != nil {
 					return MacroMetrics{}, err
 				}

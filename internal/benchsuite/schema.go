@@ -101,11 +101,12 @@ func (d *RunDoc) Encode(w io.Writer) error {
 }
 
 // Decode parses one BENCH_*.json document. It rejects a missing or
-// unknown schema_version and trailing data after the document, so a
-// truncated or concatenated file fails loudly instead of producing a
-// half-baked baseline.
+// unknown schema_version, unknown fields and trailing data after the
+// document, so a truncated, concatenated or other-kind file (a RESIL or
+// RUN document) fails loudly instead of producing a half-baked baseline.
 func Decode(r io.Reader) (*RunDoc, error) {
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	var d RunDoc
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("benchsuite: decoding run: %w", err)

@@ -70,6 +70,20 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsOtherKinds feeds Decode the two other documents
+// that share schema_version 1, as their writers emit them: a RESIL and
+// a RUN document must fail, not load as an empty baseline.
+func TestDecodeRejectsOtherKinds(t *testing.T) {
+	for kind, doc := range map[string]string{
+		"RESIL": `{"schema_version": 1, "commit": "abc1234", "go_version": "go1.24.0", "scorecards": []}`,
+		"RUN":   `{"schema_version": 1, "tool": "outlierlb", "scenario": "cpu", "seed": 1, "sample_rate": 1, "ticks": [], "series": [], "trace_stats": {"started": 0, "sampled": 0, "finished": 0, "evicted": 0}}`,
+	} {
+		if _, err := Decode(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s document: err = %v, want an unknown-field rejection", kind, err)
+		}
+	}
+}
+
 // TestWriteFileRefusesOverwrite checks the committed-baseline guard: an
 // existing path is refused without force and replaced atomically with.
 func TestWriteFileRefusesOverwrite(t *testing.T) {

@@ -60,32 +60,37 @@ type HealthConfig struct {
 	// best remaining live replica instead of abandoning at the deadline
 	// (there is nowhere left to retry). Default 2.
 	MaxRetries int
-	// RetryBackoff is the initial client backoff before a retry, in
-	// seconds; it doubles per attempt up to RetryBackoffMax. Defaults
-	// 0.05 and 1.
-	RetryBackoff    float64
-	RetryBackoffMax float64
 	// BreakerThreshold trips the breaker after this many consecutive
 	// timeouts on one replica. Default 3.
 	BreakerThreshold int
-	// BreakerWindow and BreakerWindowCount trip the breaker when
-	// WindowCount timeouts land within Window seconds even if successes
-	// interleave — the gray-failure path, where fast cached queries keep
-	// resetting a purely consecutive counter. Defaults 30 and 6.
-	BreakerWindow      float64
+	// BreakerWindowCount trips the breaker when this many timeouts land
+	// within breakerWindow seconds even if successes interleave — the
+	// gray-failure path, where fast cached queries keep resetting a
+	// purely consecutive counter. Default 6.
 	BreakerWindowCount int
-	// BreakerWindowRate additionally requires windowed timeouts to make
+	// BreakerCooldown is how long the breaker stays open before a
+	// half-open probe, in seconds; it doubles on each failed probe up to
+	// breakerCooldownMax. Default 10.
+	BreakerCooldown float64
+}
+
+// Failure-detector constants; times are in seconds.
+const (
+	// initialRetryBackoff is the client backoff before the first retry;
+	// it doubles per attempt up to maxRetryBackoff.
+	initialRetryBackoff = 0.05
+	maxRetryBackoff     = 1.0
+	// breakerWindow is the span of the windowed trip condition.
+	breakerWindow = 30.0
+	// breakerWindowRate additionally requires windowed timeouts to make
 	// up at least this fraction of the window's outcomes before the
 	// windowed condition trips. An absolute count alone would trip on the
 	// latency tail of a busy but healthy replica — at hundreds of queries
-	// per second, even a 0.1% tail clears any fixed count. Default 0.25.
-	BreakerWindowRate float64
-	// BreakerCooldown is how long the breaker stays open before a
-	// half-open probe, in seconds; it doubles on each failed probe up to
-	// BreakerCooldownMax. Defaults 10 and 60.
-	BreakerCooldown    float64
-	BreakerCooldownMax float64
-}
+	// per second, even a 0.1% tail clears any fixed count.
+	breakerWindowRate = 0.25
+	// breakerCooldownMax caps the doubling breaker cooldown.
+	breakerCooldownMax = 60.0
+)
 
 // Enabled reports whether health management is active.
 func (c HealthConfig) Enabled() bool { return c.QueryDeadline > 0 }
@@ -94,29 +99,14 @@ func (c *HealthConfig) fill() {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 2
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 0.05
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 1
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 30
 	}
 	if c.BreakerWindowCount <= 0 {
 		c.BreakerWindowCount = 6
 	}
-	if c.BreakerWindowRate <= 0 {
-		c.BreakerWindowRate = 0.25
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 10
-	}
-	if c.BreakerCooldownMax <= 0 {
-		c.BreakerCooldownMax = 60
 	}
 }
 
@@ -261,7 +251,7 @@ func (s *Scheduler) recordSuccess(now float64, r *Replica) {
 		return
 	}
 	h.consecutive = 0
-	cutoff := now - s.hcfg.BreakerWindow
+	cutoff := now - breakerWindow
 	h.recentOK = append(pruneBefore(h.recentOK, cutoff), now)
 	switch h.state {
 	case HealthProbation:
@@ -288,7 +278,7 @@ func (s *Scheduler) recordSuccess(now float64, r *Replica) {
 func (s *Scheduler) recordTimeout(now float64, r *Replica, cause string) {
 	h := s.healthFor(r)
 	h.consecutive++
-	cutoff := now - s.hcfg.BreakerWindow
+	cutoff := now - breakerWindow
 	h.recent = append(pruneBefore(h.recent, cutoff), now)
 	h.recentOK = pruneBefore(h.recentOK, cutoff)
 	switch h.state {
@@ -298,7 +288,7 @@ func (s *Scheduler) recordTimeout(now float64, r *Replica, cause string) {
 	case HealthProbation:
 		// A failed probe reopens the breaker with a doubled cooldown.
 		h.state = HealthFailed
-		h.cooldown = min(2*h.cooldown, s.hcfg.BreakerCooldownMax)
+		h.cooldown = min(2*h.cooldown, breakerCooldownMax)
 		h.openUntil = now + h.cooldown
 		h.trips++
 		s.emitHealth(now, obs.EventBreakerTrip, r,
@@ -312,14 +302,14 @@ func (s *Scheduler) recordTimeout(now float64, r *Replica, cause string) {
 	// the latency tail of a busy healthy replica (many successes, a few
 	// timeouts) from tripping it.
 	windowed := len(h.recent) >= s.hcfg.BreakerWindowCount &&
-		float64(len(h.recent)) >= s.hcfg.BreakerWindowRate*float64(len(h.recent)+len(h.recentOK))
+		float64(len(h.recent)) >= breakerWindowRate*float64(len(h.recent)+len(h.recentOK))
 	if h.consecutive >= s.hcfg.BreakerThreshold || windowed {
 		h.state = HealthFailed
 		h.openUntil = now + h.cooldown
 		h.trips++
 		s.emitHealth(now, obs.EventBreakerTrip, r,
 			fmt.Sprintf("%s (%d consecutive, %d of %d in %.0fs)",
-				cause, h.consecutive, len(h.recent), len(h.recent)+len(h.recentOK), s.hcfg.BreakerWindow),
+				cause, h.consecutive, len(h.recent), len(h.recent)+len(h.recentOK), breakerWindow),
 			map[string]float64{"cooldown": h.cooldown, "trips": float64(h.trips)})
 	}
 }
@@ -332,12 +322,12 @@ func (s *Scheduler) resetHealth(r *Replica) {
 // retryBackoff returns the capped exponential client backoff before
 // retry number attempt (1-based).
 func (s *Scheduler) retryBackoff(attempt int) float64 {
-	b := s.hcfg.RetryBackoff
+	b := initialRetryBackoff
 	for i := 1; i < attempt; i++ {
 		b *= 2
-		if b >= s.hcfg.RetryBackoffMax {
-			return s.hcfg.RetryBackoffMax
+		if b >= maxRetryBackoff {
+			return maxRetryBackoff
 		}
 	}
-	return min(b, s.hcfg.RetryBackoffMax)
+	return min(b, maxRetryBackoff)
 }

@@ -27,18 +27,12 @@ type Config struct {
 	// CPUSaturation is the mean core utilization treated as CPU
 	// saturation. Default 0.85.
 	CPUSaturation float64
-	// DiskSaturation is the disk utilization treated as I/O interference
-	// (when CPU is not saturated). Default 0.85.
-	DiskSaturation float64
 	// MRCChangeFactor is the relative change in MRC memory parameters
 	// considered significant. Default 1.6: window-based MRC estimates
 	// carry sampling noise well above the paper's nominal 1.25, and the
 	// §5.3 index-drop signal (a 1.9x acceptable-memory change) clears
 	// this bar comfortably.
 	MRCChangeFactor float64
-	// MRCThreshold is the acceptable-miss-ratio threshold above the ideal
-	// miss ratio. Default mrc.DefaultThreshold.
-	MRCThreshold float64
 	// TopK is how many heavyweight classes to investigate when no outlier
 	// contexts are found. Default 3.
 	TopK int
@@ -46,11 +40,6 @@ type Config struct {
 	// after which the controller falls back to coarse-grained isolation.
 	// Default 4.
 	FallbackAfter int
-	// AutoIOHeuristic enables automatic application of the I/O
-	// interference heuristic. The paper's prototype diagnoses this case
-	// manually (§5.5: "our current techniques do not allow us to automate
-	// the diagnosis of this case"), so automation is opt-in.
-	AutoIOHeuristic bool
 	// ShrinkBelow enables dynamic scale-down: when an application meets
 	// its SLA with ample margin and every one of its servers runs below
 	// this CPU utilization, one replica is released back to the pool.
@@ -109,11 +98,6 @@ type Config struct {
 
 	// Ablation switches (off in normal operation):
 
-	// PreferMigration disables quota enforcement: every feasible quota
-	// plan is treated as infeasible, so problem classes always migrate to
-	// another replica. Used to quantify the quota-vs-migrate trade-off
-	// discussed in §3.3.2.
-	PreferMigration bool
 	// CoarseOnly disables the fine-grained memory diagnosis entirely: the
 	// controller only reacts with CPU provisioning and the coarse-grained
 	// isolation fallback, approximating the prior-work baseline the paper
@@ -131,14 +115,8 @@ func (c *Config) fill() {
 	if c.CPUSaturation <= 0 {
 		c.CPUSaturation = 0.85
 	}
-	if c.DiskSaturation <= 0 {
-		c.DiskSaturation = 0.85
-	}
 	if c.MRCChangeFactor <= 0 {
 		c.MRCChangeFactor = 1.6
-	}
-	if c.MRCThreshold <= 0 {
-		c.MRCThreshold = mrc.DefaultThreshold
 	}
 	if c.TopK <= 0 {
 		c.TopK = 3
@@ -301,7 +279,7 @@ func NewController(s *sim.Engine, mgr *cluster.Manager, cfg Config) (*Controller
 		reconfirm:    make(map[string]bool),
 		observer:     obs.Nop{},
 	}
-	c.AttachControlPlane(ctrlnet.New(s, 0), CtrlConfig{})
+	c.AttachControlPlane(ctrlnet.New(s, 0))
 	return c, nil
 }
 
@@ -489,9 +467,8 @@ func (c *Controller) Tick() {
 	// rather than mistaking absent data for idle machines.
 	snaps := make(map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector)
 	cpu := make(map[*server.Server]float64)
-	disk := make(map[*server.Server]float64)
 	blackout := make(map[*server.Server]bool)
-	c.cp.collect(now, clockAnomaly, snaps, cpu, disk, blackout)
+	c.cp.collect(now, clockAnomaly, snaps, cpu, blackout)
 	c.lastSnaps, c.lastSnapsAt = snaps, now
 
 	var violated []*cluster.Scheduler
@@ -650,7 +627,7 @@ func (c *Controller) Tick() {
 		if acted {
 			continue
 		}
-		acted = c.diagnose(now, sched, snaps, cpu, disk, blackout)
+		acted = c.diagnose(now, sched, snaps, cpu, blackout)
 		if acted {
 			// The configuration changed; violation streaks restart so the
 			// coarse fallback only fires when actions stop helping.
@@ -789,7 +766,7 @@ func (c *Controller) recordStable(now float64, sched *cluster.Scheduler,
 			if sig.HasMRC(id) {
 				continue
 			}
-			if _, params, ok := c.analyzer(eng).RecomputeMRC(id, eng.Pool().Capacity(), c.cfg.MRCThreshold); ok {
+			if _, params, ok := c.analyzer(eng).RecomputeMRC(id, eng.Pool().Capacity(), mrc.DefaultThreshold); ok {
 				sig.SetMRC(id, params)
 			}
 		}
@@ -869,7 +846,7 @@ func (c *Controller) maintainQuotas(now float64, sched *cluster.Scheduler) {
 						Detail: "class no longer placed here; quota dissolved"})
 					continue
 				}
-				_, params, okMRC := c.analyzer(eng).RecomputeMRC(id, eng.Pool().Capacity(), c.cfg.MRCThreshold)
+				_, params, okMRC := c.analyzer(eng).RecomputeMRC(id, eng.Pool().Capacity(), mrc.DefaultThreshold)
 				if !okMRC {
 					continue
 				}
@@ -933,7 +910,7 @@ func parseKey(key string) (metrics.ClassID, bool) {
 // and reports whether a retuning action was taken.
 func (c *Controller) diagnose(now float64, sched *cluster.Scheduler,
 	snaps map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector,
-	cpu, disk map[*server.Server]float64, blackout map[*server.Server]bool) bool {
+	cpu map[*server.Server]float64, blackout map[*server.Server]bool) bool {
 	app := sched.App().Name
 
 	// 1. CPU saturation → reactive provisioning (§5.2, fully automated).
@@ -997,19 +974,7 @@ func (c *Controller) diagnose(now float64, sched *cluster.Scheduler,
 		}
 	}
 
-	// 4. I/O interference heuristic (opt-in automation).
-	if c.cfg.AutoIOHeuristic {
-		for _, r := range sched.Replicas() {
-			srv := r.Server()
-			if disk[srv] >= c.cfg.DiskSaturation && cpu[srv] < c.cfg.CPUSaturation {
-				if c.ApplyIOHeuristic(now, srv) {
-					return true
-				}
-			}
-		}
-	}
-
-	// 5. Brownout load shedding: every fine-grained path above looked for
+	// 4. Brownout load shedding: every fine-grained path above looked for
 	// a rebalancing move and found none. With an admission controller
 	// attached, shed the lowest-impact class instead of escalating — the
 	// coarse fallback needs a fresh server, which a cluster this loaded
@@ -1018,7 +983,7 @@ func (c *Controller) diagnose(now float64, sched *cluster.Scheduler,
 		return true
 	}
 
-	// 6. Coarse-grained fallback after persistent failure.
+	// 5. Coarse-grained fallback after persistent failure.
 	if c.violStreak[app] >= c.cfg.FallbackAfter {
 		c.coarseFallback(now, sched)
 		return true
@@ -1276,7 +1241,7 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 		exclude[p.id] = true
 		need[p.id] = p.params
 	}
-	restAcc := c.analyzer(eng).RestAcceptable(exclude, capacity, c.cfg.MRCThreshold)
+	restAcc := c.analyzer(eng).RestAcceptable(exclude, capacity, mrc.DefaultThreshold)
 	if restAcc > capacity {
 		// Even with every problem class gone the remaining classes do
 		// not fit, so no quota plan can succeed. Rescheduling the
@@ -1297,9 +1262,6 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 				top.params.AcceptableMemory, restAcc, capacity))
 	}
 	plan := SolveQuotas(capacity, need, restAcc)
-	if c.cfg.PreferMigration {
-		plan.Feasible = false
-	}
 	if plan.Feasible {
 		if !c.guardAllows(now, ActionQuota, app, srv.Name(), "") {
 			// Same as the reschedule veto: the problems were consumed
@@ -1458,7 +1420,7 @@ func (c *Controller) confirmProblems(now float64, candidates []metrics.ClassID, 
 		if _, registered := eng.Class(id); !registered {
 			continue
 		}
-		_, params, ok := c.analyzer(eng).RecomputeMRC(id, capacity, c.cfg.MRCThreshold)
+		_, params, ok := c.analyzer(eng).RecomputeMRC(id, capacity, mrc.DefaultThreshold)
 		if !ok {
 			continue
 		}

@@ -59,48 +59,25 @@ import (
 // engine agents register under their server's name.
 const CtrlEndpoint = "controller"
 
-// CtrlConfig tunes the message-passing control plane.
-type CtrlConfig struct {
-	// AckTimeout is the initial wait for an action ack before the first
-	// retransmission, in virtual seconds. Default 1.
-	AckTimeout float64
-	// MaxBackoff caps the exponential retransmission backoff. Default 8.
-	MaxBackoff float64
-	// MaxRetries bounds retransmissions per action before the controller
-	// abandons it. Default 6.
-	MaxRetries int
-	// SuspectAfter is the consecutive missed heartbeat acks that move a
-	// server from reachable to suspect. Default 2.
-	SuspectAfter int
-	// UnreachableAfter is the consecutive missed acks that declare a
-	// server unreachable (and advance the fencing epoch). Default 3.
-	UnreachableAfter int
-	// LeaseFor is how long one heartbeat leases an engine to the
-	// controller, in virtual seconds; an agent whose lease expires falls
-	// back to local autonomy. Default 3× the controller interval.
-	LeaseFor float64
-}
-
-func (c *CtrlConfig) fill(interval float64) {
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 1
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 8
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 6
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.UnreachableAfter <= c.SuspectAfter {
-		c.UnreachableAfter = c.SuspectAfter + 1
-	}
-	if c.LeaseFor <= 0 {
-		c.LeaseFor = 3 * interval
-	}
-}
+// Control-plane protocol constants; times are in virtual seconds.
+const (
+	// initialAckTimeout is the wait for an action ack before the first
+	// retransmission; maxBackoff caps the exponential backoff.
+	initialAckTimeout = 1.0
+	maxBackoff        = 8.0
+	// maxRetries bounds retransmissions per action before the controller
+	// abandons it.
+	maxRetries = 6
+	// suspectAfter is the consecutive missed heartbeat acks that move a
+	// server from reachable to suspect; unreachableAfter declares it
+	// unreachable (and advances the fencing epoch).
+	suspectAfter     = 2
+	unreachableAfter = 3
+	// leaseIntervals is how many controller intervals one heartbeat
+	// leases an engine to the controller; an agent whose lease expires
+	// falls back to local autonomy.
+	leaseIntervals = 3
+)
 
 // fdVerdict is the failure detector's view of one server.
 type fdVerdict int
@@ -242,8 +219,10 @@ type ControlPlane struct {
 	sim *sim.Engine
 	net *ctrlnet.Network
 	ctl *Controller
-	cfg CtrlConfig
 	tr  *obs.Tracer
+	// leaseFor is one heartbeat's lease: leaseIntervals controller
+	// intervals.
+	leaseFor float64
 
 	agents   map[string]*ctrlAgent
 	reports  map[*server.Server]*serverReport
@@ -270,16 +249,14 @@ type ControlPlane struct {
 // AttachControlPlane routes this controller's snapshot collection,
 // heartbeats and retuning actions over net, replacing the plane the
 // controller had (NewController attaches one over a perfect channel).
-// Must be called before Start; the zero CtrlConfig takes every default.
-// The returned plane is the handle for fault injection helpers and
-// protocol statistics.
-func (c *Controller) AttachControlPlane(net *ctrlnet.Network, cfg CtrlConfig) *ControlPlane {
-	cfg.fill(c.cfg.Interval)
+// Must be called before Start. The returned plane is the handle for
+// fault injection helpers and protocol statistics.
+func (c *Controller) AttachControlPlane(net *ctrlnet.Network) *ControlPlane {
 	cp := &ControlPlane{
 		sim:      c.sim,
 		net:      net,
 		ctl:      c,
-		cfg:      cfg,
+		leaseFor: leaseIntervals * c.cfg.Interval,
 		agents:   make(map[string]*ctrlAgent),
 		reports:  make(map[*server.Server]*serverReport),
 		consumed: make(map[*server.Server]uint64),
@@ -393,7 +370,7 @@ func (cp *ControlPlane) ensureAgentFor(srv *server.Server) *ctrlAgent {
 			name: srv.Name(),
 			// A fresh agent starts leased: it was just provisioned by the
 			// controller, which is as alive as evidence gets.
-			leaseUntil:   cp.sim.Now().Seconds() + cp.cfg.LeaseFor,
+			leaseUntil:   cp.sim.Now().Seconds() + cp.leaseFor,
 			lastDrain:    make(map[*engine.Engine]float64),
 			applied:      make(map[uint64]actionAck),
 			applications: make(map[uint64]int),
@@ -436,14 +413,14 @@ func (cp *ControlPlane) tickBegin(now float64) {
 		if cp.hbSeq[name] > cp.acked[name] {
 			st.missed++
 			switch {
-			case st.state == fdReachable && st.missed >= cp.cfg.SuspectAfter:
+			case st.state == fdReachable && st.missed >= suspectAfter:
 				st.state = fdSuspect
 				cp.emit(obs.Event{
 					Time: now, Kind: obs.EventCtrlSuspect, Server: name,
 					Cause:  fmt.Sprintf("%d consecutive heartbeat acks missed", st.missed),
 					Fields: map[string]float64{"missed_acks": float64(st.missed)},
 				})
-			case st.state == fdSuspect && st.missed >= cp.cfg.UnreachableAfter:
+			case st.state == fdSuspect && st.missed >= unreachableAfter:
 				st.state = fdUnreachable
 				cp.epoch++
 				cp.emit(obs.Event{
@@ -552,9 +529,9 @@ func (cp *ControlPlane) dispatch(p *pendingAction) {
 	if p.done {
 		return // perfect channel: the ack round-tripped inline
 	}
-	timeout := cp.cfg.AckTimeout * math.Pow(2, float64(p.attempts))
-	if timeout > cp.cfg.MaxBackoff {
-		timeout = cp.cfg.MaxBackoff
+	timeout := initialAckTimeout * math.Pow(2, float64(p.attempts))
+	if timeout > maxBackoff {
+		timeout = maxBackoff
 	}
 	p.timer = cp.sim.ScheduleKind(simcore.KindControlAction, timeout, func() { cp.ackTimeout(p) })
 }
@@ -564,7 +541,7 @@ func (cp *ControlPlane) ackTimeout(p *pendingAction) {
 		return
 	}
 	p.attempts++
-	if p.attempts > cp.cfg.MaxRetries {
+	if p.attempts > maxRetries {
 		cp.abandon(p, fmt.Sprintf("no ack after %d attempts", p.attempts))
 		return
 	}
@@ -572,7 +549,7 @@ func (cp *ControlPlane) ackTimeout(p *pendingAction) {
 	now := cp.sim.Now().Seconds()
 	cp.emit(obs.Event{
 		Time: now, Kind: obs.EventCtrlRetry, Server: p.srv, App: p.app,
-		Cause:  fmt.Sprintf("%s: ack timeout, retry %d/%d", p.label, p.attempts, cp.cfg.MaxRetries),
+		Cause:  fmt.Sprintf("%s: ack timeout, retry %d/%d", p.label, p.attempts, maxRetries),
 		Fields: map[string]float64{"attempt": float64(p.attempts)},
 	})
 	if p.span != nil {
@@ -654,7 +631,7 @@ func (p *pendingAction) applyFn() any { return p.apply() }
 // metric blackout.
 func (cp *ControlPlane) collect(now float64, clockAnomaly bool,
 	snaps map[*engine.Engine]map[string]map[metrics.ClassID]metrics.Vector,
-	cpu, disk map[*server.Server]float64, blackout map[*server.Server]bool) {
+	cpu map[*server.Server]float64, blackout map[*server.Server]bool) {
 	c := cp.ctl
 	for _, srv := range c.mgr.Servers() {
 		if clockAnomaly {
@@ -700,11 +677,9 @@ func (cp *ControlPlane) collect(now float64, clockAnomaly bool,
 			continue
 		}
 		cpu[srv] = rep.cpu
-		disk[srv] = rep.disk
 		if c.cfg.FrozenMetricsAfter > 0 && c.frozenServerSample(srv, rep.cpu, rep.disk) {
 			blackout[srv] = true
 			delete(cpu, srv)
-			delete(disk, srv)
 			if c.observing {
 				c.observer.Event(obs.Event{
 					Time: now, Kind: obs.EventDegradedAnalysis, Server: srv.Name(),
@@ -807,7 +782,7 @@ func (a *ctrlAgent) onHeartbeat(m hbMsg) {
 	if m.epoch > a.lastEpoch {
 		a.lastEpoch = m.epoch
 	}
-	a.leaseUntil = now + a.cp.cfg.LeaseFor
+	a.leaseUntil = now + a.cp.leaseFor
 	if a.autonomous {
 		a.autonomous = false
 		a.cp.emit(obs.Event{

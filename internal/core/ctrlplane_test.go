@@ -12,7 +12,7 @@ func newCtrlTestbed(t testing.TB, servers int) (*testbed, *ControlPlane, *ctrlne
 	t.Helper()
 	tb := newTestbed(t, servers, 2000, Config{Interval: 10})
 	net := ctrlnet.New(tb.sim, 7)
-	cp := tb.ctl.AttachControlPlane(net, CtrlConfig{})
+	cp := tb.ctl.AttachControlPlane(net)
 	return tb, cp, net
 }
 

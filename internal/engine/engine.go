@@ -103,10 +103,10 @@ type Config struct {
 	// WindowSize is the per-class recent-page-access window capacity.
 	// Defaults to 65536.
 	WindowSize int
-	// LogBufferSize is the per-thread private logging buffer capacity.
-	// Defaults to 4096.
-	LogBufferSize int
 }
+
+// logBufferSize is the capacity of the engine's private logging buffer.
+const logBufferSize = 4096
 
 // Engine is one simulated database engine. It is not safe for
 // concurrent use.
@@ -191,9 +191,6 @@ func New(cfg Config, host Host) (*Engine, error) {
 	if cfg.WindowSize <= 0 {
 		cfg.WindowSize = 65536
 	}
-	if cfg.LogBufferSize <= 0 {
-		cfg.LogBufferSize = 4096
-	}
 	pool, err := bufferpool.New(cfg.Pool)
 	if err != nil {
 		return nil, fmt.Errorf("engine %q: %w", cfg.Name, err)
@@ -208,7 +205,7 @@ func New(cfg Config, host Host) (*Engine, error) {
 		classes:   make(map[metrics.ClassID]*ClassSpec),
 		latEst:    make(map[metrics.ClassID]float64),
 	}
-	e.logbuf = metrics.NewLogBuffer(cfg.LogBufferSize, metrics.Drain(e.collector))
+	e.logbuf = metrics.NewLogBuffer(logBufferSize, metrics.Drain(e.collector))
 	e.phaseQ = simcore.NewQueue()
 	e.onLockGrant = func() {
 		if e.phSpanLock != nil {

@@ -34,8 +34,8 @@ type OutlierVsTopKResult struct {
 // AblationOutlierVsTopK measures how sharply outlier detection focuses
 // the expensive MRC recomputation compared to blindly taking the top-k
 // heavyweight classes.
-func AblationOutlierVsTopK(seed uint64) *OutlierVsTopKResult {
-	fig4 := Figure4(seed)
+func (o Options) AblationOutlierVsTopK(seed uint64) *OutlierVsTopKResult {
+	fig4 := o.Figure4(seed)
 	res := &OutlierVsTopKResult{
 		OutlierCandidates: len(fig4.MemoryOutliers),
 		TopKCandidates:    3,
@@ -69,7 +69,7 @@ type PolicyOutcome struct {
 
 // consolidationWithPolicy runs the Table 2 scenario under a given
 // controller configuration and reports the outcome.
-func consolidationWithPolicy(seed uint64, policy string, cfg core.Config) PolicyOutcome {
+func (o Options) consolidationWithPolicy(seed uint64, policy string, cfg core.Config) PolicyOutcome {
 	const (
 		interval   = 10.0
 		aloneUntil = 400.0
@@ -78,7 +78,7 @@ func consolidationWithPolicy(seed uint64, policy string, cfg core.Config) Policy
 		think      = 2.0
 	)
 	cfg.Interval = interval
-	tb := newTestbed(seed, 3, PoolPages, cfg)
+	tb := o.newTestbed(seed, 3, PoolPages, cfg)
 	tpcwApp := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 	tsched := tb.startApp(tpcwApp)
 	tem := tb.emulate(tsched, tpcw.Mix(), think, workload.Constant(clients))
@@ -122,9 +122,9 @@ func consolidationWithPolicy(seed uint64, policy string, cfg core.Config) Policy
 // coarse-only controller (CPU provisioning + whole-application isolation)
 // on the consolidation scenario: the fine-grained policy should recover
 // using fewer machines.
-func AblationFineVsCoarse(seed uint64) (fine, coarse PolicyOutcome) {
-	fine = consolidationWithPolicy(seed, "fine-grained", core.Config{SettleIntervals: 3})
-	coarse = consolidationWithPolicy(seed, "coarse-only", core.Config{SettleIntervals: 3, CoarseOnly: true})
+func (o Options) AblationFineVsCoarse(seed uint64) (fine, coarse PolicyOutcome) {
+	fine = o.consolidationWithPolicy(seed, "fine-grained", core.Config{SettleIntervals: 3})
+	coarse = o.consolidationWithPolicy(seed, "coarse-only", core.Config{SettleIntervals: 3, CoarseOnly: true})
 	return fine, coarse
 }
 
@@ -135,7 +135,7 @@ func AblationFineVsCoarse(seed uint64) (fine, coarse PolicyOutcome) {
 // quota holds the application on one machine at a modest latency cost;
 // the migration buys lower latency with a second machine — the trade-off
 // §3.3.2 discusses.
-func AblationQuotaVsMigrate(seed uint64) (quota, migrate PolicyOutcome) {
+func (o Options) AblationQuotaVsMigrate(seed uint64) (quota, migrate PolicyOutcome) {
 	run := func(policy string, apply func(tb *testbed, sched *cluster.Scheduler)) PolicyOutcome {
 		const (
 			dropAt  = 400.0
@@ -144,7 +144,7 @@ func AblationQuotaVsMigrate(seed uint64) (quota, migrate PolicyOutcome) {
 			clients = 60
 			think   = 2.0
 		)
-		tb := newTestbed(seed, 2, PoolPages, core.Config{Interval: 10})
+		tb := o.newTestbed(seed, 2, PoolPages, core.Config{Interval: 10})
 		rng := tb.sim.RNG().Fork()
 		app := tpcw.New(rng, tpcw.Options{})
 		sched := tb.startApp(app)
@@ -224,7 +224,7 @@ type ReplicationOutcome struct {
 // the pace of the slowest replica on every write; asynchronous writes
 // complete on the first replica and hide the straggler behind the apply
 // lag, at the price of occasional read freshness waits.
-func AblationSyncVsAsync(seed uint64) (sync, async ReplicationOutcome) {
+func (Options) AblationSyncVsAsync(seed uint64) (sync, async ReplicationOutcome) {
 	run := func(mode string, lag float64) ReplicationOutcome {
 		const (
 			duration = 400.0
@@ -289,8 +289,8 @@ type WeightingResult struct {
 
 // AblationWeighting ablates the §3 hypothesis that metric impact should
 // be the deviation ratio × the class's weight for the metric.
-func AblationWeighting(seed uint64) *WeightingResult {
-	current, stable := indexDropSnapshots(seed)
+func (o Options) AblationWeighting(seed uint64) *WeightingResult {
+	current, stable := o.indexDropSnapshots(seed)
 	res := &WeightingResult{}
 	for _, r := range core.Outliers(core.Detect(current, stable, core.DefaultFences())) {
 		if !r.MemoryOutlier() {
@@ -315,14 +315,14 @@ func AblationWeighting(seed uint64) *WeightingResult {
 
 // indexDropSnapshots runs the §5.3 scenario and returns the current and
 // stable per-class metric vectors at diagnosis time.
-func indexDropSnapshots(seed uint64) (current, stable map[metrics.ClassID]metrics.Vector) {
+func (o Options) indexDropSnapshots(seed uint64) (current, stable map[metrics.ClassID]metrics.Vector) {
 	const (
 		warmup  = 400.0
 		measure = 120.0
 		clients = 60
 		think   = 2.0
 	)
-	tb := newTestbed(seed, 2, PoolPages, core.Config{Interval: 10})
+	tb := o.newTestbed(seed, 2, PoolPages, core.Config{Interval: 10})
 	rng := tb.sim.RNG().Fork()
 	app := tpcw.New(rng, tpcw.Options{})
 	sched := tb.startApp(app)
@@ -358,7 +358,7 @@ type FenceSweepPoint struct {
 // AblationFences sweeps the IQR fence multiplier: tighter fences flag
 // more classes (more MRC recomputation); looser fences risk missing the
 // culprit. The paper's classic 1.5/3.0 sits in the stable middle.
-func AblationFences(seed uint64) []FenceSweepPoint {
+func (o Options) AblationFences(seed uint64) []FenceSweepPoint {
 	// Reuse the Figure 4 measurement data by recomputing detection at
 	// several fences over a fresh run's snapshots.
 	const (
@@ -368,7 +368,7 @@ func AblationFences(seed uint64) []FenceSweepPoint {
 		clients  = 60
 		think    = 2.0
 	)
-	tb := newTestbed(seed, 2, PoolPages, core.Config{Interval: interval})
+	tb := o.newTestbed(seed, 2, PoolPages, core.Config{Interval: interval})
 	rng := tb.sim.RNG().Fork()
 	app := tpcw.New(rng, tpcw.Options{})
 	sched := tb.startApp(app)

@@ -3,10 +3,11 @@ package experiments
 import "testing"
 
 func TestAblationQuotaVsMigrateTradeoff(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	quota, migrate := AblationQuotaVsMigrate(1)
+	quota, migrate := Options{}.AblationQuotaVsMigrate(1)
 	// The §3.3.2 trade-off: the quota holds the application on one
 	// machine; migration spends a second machine for lower latency.
 	if quota.ServersUsed != 1 {
@@ -27,10 +28,11 @@ func TestAblationQuotaVsMigrateTradeoff(t *testing.T) {
 }
 
 func TestAblationFineVsCoarse(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	fine, coarse := AblationFineVsCoarse(1)
+	fine, coarse := Options{}.AblationFineVsCoarse(1)
 	// Both policies eventually restore the victim.
 	if fine.RecoverySeconds < 0 {
 		t.Errorf("fine-grained policy never recovered")
@@ -49,10 +51,11 @@ func TestAblationFineVsCoarse(t *testing.T) {
 }
 
 func TestAblationFencesSweep(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	pts := AblationFences(1)
+	pts := Options{}.AblationFences(1)
 	if len(pts) == 0 {
 		t.Fatal("no sweep points")
 	}
@@ -71,10 +74,11 @@ func TestAblationFencesSweep(t *testing.T) {
 }
 
 func TestAblationMidpointVsQuota(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := AblationMidpointVsQuota(1)
+	r := Options{}.AblationMidpointVsQuota(1)
 	// Engine-level scan resistance does not fix cross-class interference
 	// here: the unindexed BestSeller cycles and re-touches pages, so its
 	// pollution gets promoted past the midpoint. The quota is what
@@ -96,10 +100,11 @@ func TestAblationMidpointVsQuota(t *testing.T) {
 }
 
 func TestAblationSyncVsAsync(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	sync, async := AblationSyncVsAsync(1)
+	sync, async := Options{}.AblationSyncVsAsync(1)
 	// On a heterogeneous cluster, synchronous ROWA is bound by the
 	// straggler on every write; async hides it.
 	if async.AvgLatency >= sync.AvgLatency/2 {
@@ -111,10 +116,11 @@ func TestAblationSyncVsAsync(t *testing.T) {
 }
 
 func TestAblationWeighting(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := AblationWeighting(1)
+	r := Options{}.AblationWeighting(1)
 	if !r.WeightedHasCulprit {
 		t.Fatalf("weighted detection missed BestSeller: %v", r.WeightedOutliers)
 	}
@@ -128,10 +134,11 @@ func TestAblationWeighting(t *testing.T) {
 }
 
 func TestAblationOutlierVsTopKFocus(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := AblationOutlierVsTopK(1)
+	r := Options{}.AblationOutlierVsTopK(1)
 	if !r.OutlierFoundBestSeller {
 		t.Error("outlier detection missed the culprit")
 	}

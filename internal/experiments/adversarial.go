@@ -32,9 +32,9 @@ func adversarialGuards(cfg *core.Config) {
 // stable-signature baseline. Want: zero client errors, zero outlier
 // diagnoses on the target, zero capacity churn, degraded-analysis
 // narration while the lie is in force.
-func ChaosByzantineMetrics(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosByzantineMetrics(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 400.0, 600.0
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
+	return o.runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name:   "byzantine-metrics",
 		mutate: adversarialGuards,
 		inject: func(in *faults.Injector, _ *testbed, target *cluster.Replica) {
@@ -50,9 +50,9 @@ func ChaosByzantineMetrics(seed uint64) (*ChaosResult, error) {
 // guard and the frozen-snapshot hash must keep the duplicated data out
 // of the analyzer. Want: zero client errors, no outlier diagnoses on
 // the target, no capacity churn.
-func ChaosSnapshotCorruption(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosSnapshotCorruption(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 400.0, 600.0
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
+	return o.runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name:   "snapshot-corruption",
 		mutate: adversarialGuards,
 		inject: func(in *faults.Injector, _ *testbed, target *cluster.Replica) {
@@ -73,9 +73,9 @@ func ChaosSnapshotCorruption(seed uint64) (*ChaosResult, error) {
 // ClockGuard clamps the window, narrates the anomaly and skips gap
 // normalization for the tick. Want: zero client errors, no outlier
 // diagnoses anywhere during the skew, no capacity churn.
-func ChaosClockSkew(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosClockSkew(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 400.0, 600.0
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
+	return o.runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name:   "clock-skew",
 		mutate: adversarialGuards,
 		inject: func(in *faults.Injector, tb *testbed, _ *cluster.Replica) {

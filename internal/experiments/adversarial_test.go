@@ -36,11 +36,12 @@ func assertAdversarialInvariants(t *testing.T, name string, r *ChaosResult) {
 // healthy. The frozen-metrics guard must classify the repeating samples
 // as a metric fault and degrade analysis rather than diagnose outliers.
 func TestAdversarialByzantineMetrics(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("adversarial scenarios run minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		res, err := ChaosByzantineMetrics(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		res, err := Options{}.ChaosByzantineMetrics(seed)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -48,7 +49,7 @@ func TestAdversarialByzantineMetrics(t *testing.T) {
 		if res.DegradedEvents == 0 {
 			t.Errorf("seed=%d: no degraded-analysis narration for the lying replica", seed)
 		}
-	}
+	})
 }
 
 // TestAdversarialSnapshotCorruption: the target engine's snapshots
@@ -56,11 +57,12 @@ func TestAdversarialByzantineMetrics(t *testing.T) {
 // handled as metric faults — narrated, gap-normalized on recovery,
 // never diagnosed as workload outliers.
 func TestAdversarialSnapshotCorruption(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("adversarial scenarios run minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		res, err := ChaosSnapshotCorruption(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		res, err := Options{}.ChaosSnapshotCorruption(seed)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -68,7 +70,7 @@ func TestAdversarialSnapshotCorruption(t *testing.T) {
 		if res.DegradedEvents == 0 {
 			t.Errorf("seed=%d: no degraded-analysis narration for the corrupted snapshots", seed)
 		}
-	}
+	})
 }
 
 // TestAdversarialClockSkew: the controller's own clock jumps forward
@@ -77,11 +79,12 @@ func TestAdversarialSnapshotCorruption(t *testing.T) {
 // which carry no server) and the sampler resync must prevent the
 // post-skew fake-idle reads from feeding a false shrink.
 func TestAdversarialClockSkew(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("adversarial scenarios run minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		res, err := ChaosClockSkew(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		res, err := Options{}.ChaosClockSkew(seed)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
 		}
@@ -95,5 +98,5 @@ func TestAdversarialClockSkew(t *testing.T) {
 		if anomalies == 0 {
 			t.Errorf("seed=%d: no clock-anomaly degraded-analysis events; the skew went unnoticed", seed)
 		}
-	}
+	})
 }

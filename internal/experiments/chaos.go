@@ -109,9 +109,9 @@ type chaosOpts struct {
 // schedule faults against the second replica, runs to endAt and collects
 // the result. The fault window [faultAt, clearAt] only shapes the
 // latency windows; the injected fault decides what actually happens.
-func runChaos(seed uint64, name string, faultAt, clearAt, endAt float64,
+func (o Options) runChaos(seed uint64, name string, faultAt, clearAt, endAt float64,
 	inject func(in *faults.Injector, target *cluster.Replica)) (*ChaosResult, error) {
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
+	return o.runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name: name,
 		inject: func(in *faults.Injector, _ *testbed, target *cluster.Replica) {
 			inject(in, target)
@@ -120,7 +120,7 @@ func runChaos(seed uint64, name string, faultAt, clearAt, endAt float64,
 }
 
 // runChaosOpts is runChaos with the adversarial extension points.
-func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) (*ChaosResult, error) {
+func (o Options) runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) (*ChaosResult, error) {
 	cfg := core.Config{
 		Interval:        chaosInterval,
 		SettleIntervals: 3,
@@ -139,9 +139,9 @@ func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) 
 	if opts.mutate != nil {
 		opts.mutate(&cfg)
 	}
-	tb := newTestbed(seed, 3, 2*PoolPages, cfg)
+	tb := o.newTestbed(seed, 3, 2*PoolPages, cfg)
 	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
+	observer := obs.Tee(rec, o.Observer)
 	tb.ctl.SetObserver(observer)
 	tb.mgr.Observer = observer
 	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
@@ -255,9 +255,9 @@ func runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts chaosOpts) 
 // so consecutive counting would never fire), reads drain to the healthy
 // replica, and half-open probes re-admit the replica once the disk
 // recovers and its backlog drains.
-func ChaosGrayFailure(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosGrayFailure(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 400.0, 600.0
-	return runChaos(seed, "gray-failure", faultAt, clearAt, endAt,
+	return o.runChaos(seed, "gray-failure", faultAt, clearAt, endAt,
 		func(in *faults.Injector, target *cluster.Replica) {
 			in.GrayFailure(target.Server(), faultAt, clearAt, 8)
 		})
@@ -268,9 +268,9 @@ func ChaosGrayFailure(seed uint64) (*ChaosResult, error) {
 // few consecutive timeouts, probes during up phases re-admit it, and the
 // controller's stable-streak guard keeps the capacity allocation from
 // oscillating with the flaps.
-func ChaosFlapping(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosFlapping(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 320.0, 500.0
-	return runChaos(seed, "flapping", faultAt, clearAt, endAt,
+	return o.runChaos(seed, "flapping", faultAt, clearAt, endAt,
 		func(in *faults.Injector, target *cluster.Replica) {
 			in.Flap(target, faultAt, clearAt, 15, 15, 2)
 		})
@@ -281,9 +281,9 @@ func ChaosFlapping(seed uint64) (*ChaosResult, error) {
 // controller must skip analysis for the dark server — narrating the
 // degradation — rather than mistake absent metrics for an idle machine
 // or diagnose outliers from data that does not exist.
-func ChaosMetricBlackout(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosMetricBlackout(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 350.0, 500.0
-	return runChaos(seed, "metric-blackout", faultAt, clearAt, endAt,
+	return o.runChaos(seed, "metric-blackout", faultAt, clearAt, endAt,
 		func(in *faults.Injector, target *cluster.Replica) {
 			in.MetricBlackout(target.Server(), faultAt, clearAt)
 		})

@@ -38,11 +38,12 @@ func assertChaosInvariants(t *testing.T, name string, r *ChaosResult) {
 }
 
 func TestChaosGrayFailure(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("covered by TestChaosSmoke in short mode")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosGrayFailure(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		r, err := Options{}.ChaosGrayFailure(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,15 +61,16 @@ func TestChaosGrayFailure(t *testing.T) {
 		if r.Retries == 0 {
 			t.Errorf("gray seed=%d: no reads were retried off the slow replica", seed)
 		}
-	}
+	})
 }
 
 func TestChaosFlapping(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("covered by TestChaosSmoke in short mode")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosFlapping(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		r, err := Options{}.ChaosFlapping(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,15 +87,16 @@ func TestChaosFlapping(t *testing.T) {
 		if r.Shrinks != 0 {
 			t.Errorf("flap seed=%d: controller shrank capacity mid-flap", seed)
 		}
-	}
+	})
 }
 
 func TestChaosMetricBlackout(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("covered by TestChaosSmoke in short mode")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosMetricBlackout(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		r, err := Options{}.ChaosMetricBlackout(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,21 +111,22 @@ func TestChaosMetricBlackout(t *testing.T) {
 			t.Errorf("blackout seed=%d: %d outlier diagnoses for the blacked-out server, want 0",
 				seed, r.TargetOutlierDiagnoses)
 		}
-	}
+	})
 }
 
 // TestChaosDeterminism reruns one scenario under the same seed and
 // requires identical outcomes: the fault injector rides the simulation's
 // seeded RNG, so a chaos run is exactly reproducible.
 func TestChaosDeterminism(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping determinism rerun in short mode")
 	}
-	a, err := ChaosFlapping(chaosSeeds[0])
+	a, err := Options{}.ChaosFlapping(chaosSeeds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ChaosFlapping(chaosSeeds[0])
+	b, err := Options{}.ChaosFlapping(chaosSeeds[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +141,9 @@ func TestChaosDeterminism(t *testing.T) {
 // TestChaosSmoke is the seed-pinned short-mode run wired into ci.sh:
 // one gray-failure and one flapping run, core invariants only.
 func TestChaosSmoke(t *testing.T) {
+	t.Parallel()
 	for name, fn := range map[string]func(uint64) (*ChaosResult, error){
-		"gray": ChaosGrayFailure, "flap": ChaosFlapping,
+		"gray": Options{}.ChaosGrayFailure, "flap": Options{}.ChaosFlapping,
 	} {
 		r, err := fn(chaosSeeds[0])
 		if err != nil {

@@ -24,9 +24,9 @@ import (
 // fences the epoch), diagnosis suspends fleet-wide, engine leases
 // expire into local autonomy — and after the heal, heartbeats renew the
 // leases, the detector recovers, and reporting resumes.
-func ChaosCtrlPartition(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosCtrlPartition(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 350.0, 500.0
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
+	return o.runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name: "ctrl-partition",
 		inject: func(in *faults.Injector, tb *testbed, _ *cluster.Replica) {
 			in.ControllerPartition(tb.net, core.CtrlEndpoint, faultAt, clearAt)
@@ -40,9 +40,9 @@ func ChaosCtrlPartition(seed uint64) (*ChaosResult, error) {
 // autonomy) but acks and snapshot reports are lost: the controller must
 // declare the server unreachable from silence alone and suspend its
 // diagnosis, while the engine, fully leased, holds steady.
-func ChaosCtrlAsymPartition(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosCtrlAsymPartition(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 350.0, 500.0
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
+	return o.runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name: "ctrl-asym-partition",
 		inject: func(in *faults.Injector, tb *testbed, target *cluster.Replica) {
 			in.AsymmetricPartition(tb.net, target.Server().Name(), core.CtrlEndpoint, faultAt, clearAt)
@@ -58,9 +58,9 @@ func ChaosCtrlAsymPartition(seed uint64) (*ChaosResult, error) {
 // the subject: ack timeouts retransmit with backoff, duplicate
 // deliveries are suppressed by the agents' stored-ack cache, and
 // delayed duplicates from a deposed epoch are fenced off.
-func ChaosCtrlLossy(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosCtrlLossy(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 400.0, 600.0
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
+	return o.runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name:      "ctrl-lossy",
 		admission: true,
 		clients:   workload.Pulse(chaosClients, 3*chaosClients, faultAt+20, clearAt-20),
@@ -79,9 +79,9 @@ func ChaosCtrlLossy(seed uint64) (*ChaosResult, error) {
 // guard must reject it (narrated as degraded analysis) rather than
 // diagnose from old data, while heartbeat acks (delayed but within the
 // detector's patience) keep the failure detector at reachable.
-func ChaosCtrlDelayedSnapshots(seed uint64) (*ChaosResult, error) {
+func (o Options) ChaosCtrlDelayedSnapshots(seed uint64) (*ChaosResult, error) {
 	const faultAt, clearAt, endAt = 200.0, 350.0, 500.0
-	return runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
+	return o.runChaosOpts(seed, faultAt, clearAt, endAt, chaosOpts{
 		name: "ctrl-delayed-snapshots",
 		inject: func(in *faults.Injector, tb *testbed, _ *cluster.Replica) {
 			for _, srv := range tb.mgr.Servers() {

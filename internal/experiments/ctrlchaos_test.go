@@ -33,11 +33,12 @@ func assertCtrlInvariants(t *testing.T, name string, r *ChaosResult) {
 }
 
 func TestChaosCtrlPartition(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("control-channel chaos runs minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosCtrlPartition(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		r, err := Options{}.ChaosCtrlPartition(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,15 +60,16 @@ func TestChaosCtrlPartition(t *testing.T) {
 		if r.CtrlDropped == 0 {
 			t.Errorf("ctrl-partition seed=%d: partition dropped no messages", seed)
 		}
-	}
+	})
 }
 
 func TestChaosCtrlAsymPartition(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("control-channel chaos runs minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosCtrlAsymPartition(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		r, err := Options{}.ChaosCtrlAsymPartition(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,15 +85,16 @@ func TestChaosCtrlAsymPartition(t *testing.T) {
 			t.Errorf("ctrl-asym seed=%d: %d autonomy episodes; heartbeats still reached the engine, its lease must not lapse",
 				seed, r.Ctrl.AutonomyEpisodes)
 		}
-	}
+	})
 }
 
 func TestChaosCtrlLossy(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("control-channel chaos runs minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosCtrlLossy(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		r, err := Options{}.ChaosCtrlLossy(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,15 +117,16 @@ func TestChaosCtrlLossy(t *testing.T) {
 			t.Errorf("ctrl-lossy seed=%d: max applications per action = %d, want exactly 1",
 				seed, r.Ctrl.MaxApplications)
 		}
-	}
+	})
 }
 
 func TestChaosCtrlDelayedSnapshots(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("control-channel chaos runs minutes of virtual time")
 	}
-	for _, seed := range chaosSeeds {
-		r, err := ChaosCtrlDelayedSnapshots(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		r, err := Options{}.ChaosCtrlDelayedSnapshots(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,5 +147,5 @@ func TestChaosCtrlDelayedSnapshots(t *testing.T) {
 			t.Errorf("ctrl-delayed seed=%d: %d autonomy episodes; heartbeats were delivered, leases must hold",
 				seed, r.Ctrl.AutonomyEpisodes)
 		}
-	}
+	})
 }

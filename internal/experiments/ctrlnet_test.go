@@ -19,13 +19,14 @@ import (
 // private seeded RNG, so replaying a seed must replay every drop and
 // every retransmission exactly.
 func TestCtrlLossyDeterminism(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("double chaos runs are slow; run without -short")
 	}
-	for _, seed := range chaosSeeds {
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
 		var fps [2][]byte
 		for i := range fps {
-			r, err := ChaosCtrlLossy(seed)
+			r, err := Options{}.ChaosCtrlLossy(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +39,7 @@ func TestCtrlLossyDeterminism(t *testing.T) {
 		if string(fps[0]) != string(fps[1]) {
 			t.Errorf("seed=%d: lossy-channel runs diverge across identical seeds", seed)
 		}
-	}
+	})
 }
 
 // TestCtrlNetMessageTraffic checks which delivery path actually runs: a
@@ -48,11 +49,12 @@ func TestCtrlLossyDeterminism(t *testing.T) {
 // channel would invalidate the chaos scenarios, and a silently-evented
 // perfect channel would move every output the goldens pin.
 func TestCtrlNetMessageTraffic(t *testing.T) {
+	t.Parallel()
 	// run drives a controller over the channel for a few ticks and
 	// returns the channel's stats plus the KindMessage event count on the
 	// simulation queue.
-	run := func() (ctrlnet.Stats, uint64) {
-		tb := newTestbed(1, 2, PoolPages, core.Config{Interval: 10})
+	run := func(o Options) (ctrlnet.Stats, uint64) {
+		tb := o.newTestbed(1, 2, PoolPages, core.Config{Interval: 10})
 		app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 		sched := tb.startApp(app)
 		em := tb.emulate(sched, tpcw.Mix(), 1.0, workload.Constant(30))
@@ -63,7 +65,7 @@ func TestCtrlNetMessageTraffic(t *testing.T) {
 		return tb.net.Stats(), tb.sim.QueueStats().PerKind[simcore.KindMessage]
 	}
 
-	ns, events := run()
+	ns, events := run(Options{})
 	if ns.Sent == 0 || ns.InlineDelivered == 0 {
 		t.Errorf("perfect channel carried no inline traffic (sent=%d inline=%d); the control plane is not routed through it",
 			ns.Sent, ns.InlineDelivered)
@@ -72,9 +74,7 @@ func TestCtrlNetMessageTraffic(t *testing.T) {
 		t.Errorf("perfect channel scheduled %d KindMessage events; inline delivery is broken (and with it bit-identity)", events)
 	}
 
-	SetCtrlLink(ctrlnet.Config{Latency: 0.01})
-	t.Cleanup(func() { SetCtrlLink(ctrlnet.Config{}) })
-	ns, events = run()
+	ns, events = run(Options{CtrlLink: ctrlnet.Config{Latency: 0.01}})
 	if events == 0 || ns.InlineDelivered != 0 {
 		t.Errorf("latency-bearing channel: %d KindMessage events, %d inline deliveries; control traffic is not going over the network",
 			events, ns.InlineDelivered)

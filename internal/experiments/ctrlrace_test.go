@@ -18,17 +18,17 @@ import (
 // (ci.sh runs the whole suite with the detector on) and otherwise just
 // checks the run survives the interference.
 func TestCtrlDebugEndpointsRace(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("chaos scenario: skipped in -short")
 	}
 	var mu sync.Mutex
 	var ctls []*core.Controller
-	SetObsHooks(nil, func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine) {
+	o := Options{OnTestbed: func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine) {
 		mu.Lock()
 		ctls = append(ctls, ctl)
 		mu.Unlock()
-	})
-	defer SetObsHooks(nil, nil)
+	}}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -57,7 +57,7 @@ func TestCtrlDebugEndpointsRace(t *testing.T) {
 		}
 	}()
 
-	_, err := ChaosCtrlLossy(1)
+	_, err := o.ChaosCtrlLossy(1)
 	close(stop)
 	wg.Wait()
 	if err != nil {

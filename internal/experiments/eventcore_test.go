@@ -21,8 +21,8 @@ var eventCoreSeeds = []uint64{1, 2, 3}
 // snapshots) and of every retained span tree.
 func fig4Fingerprint(t *testing.T, seed uint64) (result, spans []byte) {
 	t.Helper()
-	traces, _ := withTracer(4096, func() {
-		r := Figure4(seed)
+	traces, _ := withTracer(4096, func(o Options) {
+		r := o.Figure4(seed)
 		var err error
 		if result, err = json.Marshal(r); err != nil {
 			t.Fatal(err)
@@ -41,11 +41,12 @@ func fig4Fingerprint(t *testing.T, seed uint64) (result, spans []byte) {
 // refactor must preserve: a central (time, sequence)-keyed queue leaves
 // no room for replay divergence.
 func TestEventCoreDeterminism(t *testing.T) {
+	t.Parallel()
 	seeds := eventCoreSeeds
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	for _, seed := range seeds {
+	forSeeds(t, seeds, func(t *testing.T, seed uint64) {
 		res1, spans1 := fig4Fingerprint(t, seed)
 		res2, spans2 := fig4Fingerprint(t, seed)
 		if string(res1) != string(res2) {
@@ -54,20 +55,18 @@ func TestEventCoreDeterminism(t *testing.T) {
 		if string(spans1) != string(spans2) {
 			t.Errorf("seed=%d: span trees diverge across identical runs", seed)
 		}
-	}
+	})
 }
 
 // TestEventCorePhaseTraffic checks that the engines commit every service
 // phase through their event queues, and that the queue statistics report
 // phase-complete traffic and nothing else.
 func TestEventCorePhaseTraffic(t *testing.T) {
+	t.Parallel()
 	var mgrs []*cluster.Manager
-	SetObsHooks(nil, func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine) {
+	Options{OnTestbed: func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine) {
 		mgrs = append(mgrs, mgr)
-	})
-	defer SetObsHooks(nil, nil)
-
-	Figure4(1)
+	}}.Figure4(1)
 
 	var total simcore.Stats
 	for _, mgr := range mgrs {

@@ -1,13 +1,14 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§5) as deterministic, seedable scenario functions. The
-// benchmark harness (bench_test.go), the benchrunner tool and the example
-// programs all call into this package, so the numbers they report come
-// from one implementation of each scenario.
+// evaluation (§5), and the operator scenarios built on the same testbed,
+// as deterministic, seedable runs. Scenarios is the one registry of them
+// by name. The command-line tools, the benchmark harness (bench_test.go)
+// and the example programs all call into this package, so the numbers
+// they report come from one implementation of each scenario.
 //
-// Concurrency: scenario functions are sequential and must not run
-// concurrently with each other — the Set* hooks (SetObsHooks,
-// SetTracer, ...) are process-global precisely because scenarios take
-// only a seed.
+// Concurrency: every scenario is a method on Options and builds its own
+// testbeds from that value, so runs share no state and may execute
+// concurrently. The one package-level variable is the default Options
+// behind the perfbench shim (shim.go), which only perfbench writes.
 package experiments
 
 import (
@@ -55,9 +56,11 @@ func poolConfig(pages int) bufferpool.Config {
 // server pool, and a controller that reaches the engines over a seeded
 // control channel.
 type testbed struct {
-	sim *sim.Engine
-	mgr *cluster.Manager
-	ctl *core.Controller
+	// opts is the run's configuration; emulate reads its load hooks.
+	opts Options
+	sim  *sim.Engine
+	mgr  *cluster.Manager
+	ctl  *core.Controller
 	// net is the control channel and cp the controller's protocol
 	// endpoint on it, which replaces the perfect-channel plane
 	// NewController attached.
@@ -65,80 +68,50 @@ type testbed struct {
 	cp  *core.ControlPlane
 }
 
-// obsHooks lets callers (the command-line tools) attach observability to
-// the testbeds the scenario functions build internally. The scenario
-// functions take only a seed, so this is deliberately process-global.
-var obsHooks struct {
-	observer  obs.Observer
-	onTestbed func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine)
+// Options configures one scenario run. Every scenario is a method on
+// Options, and the testbeds a run builds read only their own Options, so
+// runs with different configurations can execute concurrently. The zero
+// value runs the scenario bare: no observer, no tracer, a perfect
+// control channel and live load generators.
+type Options struct {
+	// Observer is attached to every testbed the run builds: the
+	// controller, the manager and, where a scenario wires them, the
+	// schedulers, fault injectors and watchdogs report to it.
+	Observer obs.Observer
+	// OnTestbed, when set, receives each testbed's controller, manager
+	// and simulation as the testbed is built (the tools point live
+	// diagnosis and signature persistence at the most recent run).
+	OnTestbed func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine)
+	// Tracer, when set, samples queries into span trees: schedulers start
+	// root spans through it and engines attach exec/cpu/disk children.
+	// Sampling draws on the tracer's own seeded hash, not the simulation
+	// RNG, so outputs are unaffected.
+	Tracer *obs.Tracer
+	// CtrlLink is the default link configuration (latency, jitter, drop,
+	// duplication, reordering) of every control channel the run builds.
+	// The zero Config is the perfect channel.
+	CtrlLink ctrlnet.Config
+	// OnArrival, when set, receives every client submission — cohort
+	// (application) name, exact virtual time, query class — before the
+	// scheduler sees it. The tools point a wltemporal.Recorder here
+	// (-wl.record) to capture a run as a workload-trace-v2 file.
+	OnArrival func(cohort string, t float64, class metrics.ClassID)
+	// Replay, when set, swaps every load generator for a
+	// wltemporal.Replayer feeding the trace's recorded arrivals. Replay
+	// preserves RNG fork parity for single-application scenarios (one
+	// emulate call, one trace cohort); see WORKLOADS.md for the contract.
+	Replay *wltemporal.Trace
 }
-
-// SetObsHooks installs an observer attached to every testbed built after
-// the call, plus an optional callback receiving each testbed's
-// controller, manager and simulation (the tools use it to point live
-// diagnosis at the most recent run). Pass nil, nil to clear.
-func SetObsHooks(o obs.Observer, onTestbed func(ctl *core.Controller, mgr *cluster.Manager, s *sim.Engine)) {
-	obsHooks.observer = o
-	obsHooks.onTestbed = onTestbed
-}
-
-// tracer is the query tracer handed to every testbed built after
-// SetTracer. Process-global for the same reason as the observability
-// hooks: scenario functions take only a seed.
-var tracer *obs.Tracer
-
-// SetTracer installs a span tracer on every subsequently built testbed:
-// schedulers start query root spans through it and engines attach
-// exec/cpu/disk child spans. Sampling draws on the tracer's own seeded
-// hash, not the simulation RNG, so goldens are unaffected. Pass nil to
-// clear.
-func SetTracer(t *obs.Tracer) { tracer = t }
-
-// ctrlLink is the default link configuration of the control channel
-// every subsequently built testbed attaches. The zero Config is the
-// perfect channel; the -ctrl.* flags set it to degrade every link.
-// Process-global for the same reason as the other hooks: scenario
-// functions take only a seed.
-var ctrlLink ctrlnet.Config
-
-// SetCtrlLink sets the default link characteristics (latency, jitter,
-// drop, duplication, reordering) of every control channel built after
-// the call.
-func SetCtrlLink(link ctrlnet.Config) { ctrlLink = link }
-
-// arrivalHook, when set, receives every client submission any
-// subsequently run scenario makes — cohort (application) name, exact
-// virtual time, query class — before the scheduler sees it. The tools
-// point a wltemporal.Recorder here (-wl.record) to capture any live run
-// as a workload-trace-v2 file. Process-global for the same reason as
-// the other hooks: scenario functions take only a seed.
-var arrivalHook func(cohort string, t float64, class metrics.ClassID)
-
-// SetArrivalHook installs (or, with nil, clears) the submission hook.
-func SetArrivalHook(fn func(cohort string, t float64, class metrics.ClassID)) {
-	arrivalHook = fn
-}
-
-// replayTrace, when set, swaps every subsequently built emulator for a
-// wltemporal.Replayer feeding the trace's recorded arrivals instead of
-// generating load. Replay preserves RNG fork parity for single-
-// application scenarios (one emulate call, one trace cohort); see
-// WORKLOADS.md for the contract.
-var replayTrace *wltemporal.Trace
-
-// SetReplay installs (or, with nil, clears) a recorded trace to feed in
-// place of generated client load.
-func SetReplay(tr *wltemporal.Trace) { replayTrace = tr }
 
 // ctrlNetSeed decorrelates the control network's private RNG stream
 // from the simulation's workload stream.
 const ctrlNetSeed = 0x6374726c
 
-func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
+func (o Options) newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	s := sim.NewEngine(seed)
 	mgr := cluster.NewManager()
 	mgr.PoolConfig = poolConfig(poolPages)
-	mgr.Tracer = tracer
+	mgr.Tracer = o.Tracer
 	for i := 0; i < servers; i++ {
 		mgr.AddServer(newServer(fmt.Sprintf("db%d", i+1), poolPages*2))
 	}
@@ -146,18 +119,18 @@ func newTestbed(seed uint64, servers, poolPages int, cfg core.Config) *testbed {
 	if err != nil {
 		panic(err) // static wiring cannot fail
 	}
-	if obsHooks.observer != nil {
-		ctl.SetObserver(obsHooks.observer)
-		mgr.Observer = obsHooks.observer
+	if o.Observer != nil {
+		ctl.SetObserver(o.Observer)
+		mgr.Observer = o.Observer
 		mgr.Clock = func() float64 { return s.Now().Seconds() }
 	}
-	if obsHooks.onTestbed != nil {
-		obsHooks.onTestbed(ctl, mgr, s)
+	if o.OnTestbed != nil {
+		o.OnTestbed(ctl, mgr, s)
 	}
-	tb := &testbed{sim: s, mgr: mgr, ctl: ctl, net: ctrlnet.New(s, seed^ctrlNetSeed)}
-	tb.net.SetDefaults(ctrlLink)
-	tb.cp = ctl.AttachControlPlane(tb.net, core.CtrlConfig{})
-	tb.cp.SetTracer(tracer)
+	tb := &testbed{opts: o, sim: s, mgr: mgr, ctl: ctl, net: ctrlnet.New(s, seed^ctrlNetSeed)}
+	tb.net.SetDefaults(o.CtrlLink)
+	tb.cp = ctl.AttachControlPlane(tb.net)
+	tb.cp.SetTracer(o.Tracer)
 	return tb
 }
 
@@ -203,22 +176,23 @@ type loadgen interface {
 }
 
 // emulate attaches a client load source to sched: a closed-loop
-// emulator normally, or a trace replayer when SetReplay is in effect.
-// Either way the arrival hook (SetArrivalHook) sees every submission
-// under the application's name as its cohort.
+// emulator normally, or a trace replayer when Options.Replay is set.
+// Either way Options.OnArrival sees every submission under the
+// application's name as its cohort.
 func (tb *testbed) emulate(sched *cluster.Scheduler, mix []workload.MixEntry,
 	think float64, load workload.LoadFunction) loadgen {
 	name := sched.App().Name
-	if replayTrace != nil {
-		rep, err := wltemporal.NewReplayer(tb.sim, replayTrace,
+	onArrival := tb.opts.OnArrival
+	if tb.opts.Replay != nil {
+		rep, err := wltemporal.NewReplayer(tb.sim, tb.opts.Replay,
 			func(cohort string, now float64, class metrics.ClassID) error {
 				if cohort != name {
 					// A multi-application trace: this replayer only feeds
 					// its own application's cohort.
 					return nil
 				}
-				if arrivalHook != nil {
-					arrivalHook(cohort, now, class)
+				if onArrival != nil {
+					onArrival(cohort, now, class)
 				}
 				_, err := sched.Submit(now, class)
 				return err
@@ -231,8 +205,8 @@ func (tb *testbed) emulate(sched *cluster.Scheduler, mix []workload.MixEntry,
 	cfg := workload.Config{
 		Mix: mix, ThinkTime: think, ThinkNoise: 0.3, Load: load,
 	}
-	if arrivalHook != nil {
-		cfg.OnArrival = func(t float64, class metrics.ClassID) { arrivalHook(name, t, class) }
+	if onArrival != nil {
+		cfg.OnArrival = func(t float64, class metrics.ClassID) { onArrival(name, t, class) }
 	}
 	em, err := workload.NewEmulator(tb.sim, sched, cfg)
 	if err != nil {

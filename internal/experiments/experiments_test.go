@@ -14,10 +14,11 @@ import (
 // the substrate is a simulator.
 
 func TestFigure3Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Figure3(1)
+	r := Options{}.Figure3(1)
 	if len(r.Times) == 0 {
 		t.Fatal("no samples")
 	}
@@ -64,10 +65,11 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Figure4(1)
+	r := Options{}.Figure4(1)
 	if len(r.Classes) != 14 {
 		t.Fatalf("classes = %d", len(r.Classes))
 	}
@@ -126,10 +128,11 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Figure5(1)
+	r := Options{}.Figure5(1)
 	if r.Class != tpcw.BestSellerClass {
 		t.Fatalf("class = %q", r.Class)
 	}
@@ -149,10 +152,11 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Figure6(1)
+	r := Options{}.Figure6(1)
 	if r.Class != rubis.SearchItemsByRegionClass {
 		t.Fatalf("class = %q", r.Class)
 	}
@@ -163,10 +167,11 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Table1(1)
+	r := Options{}.Table1(1)
 	// Partitioning must lift the non-BestSeller hit ratio toward its
 	// exclusive ideal...
 	if r.PartitionedRest <= r.SharedRest {
@@ -193,10 +198,11 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Table2(1)
+	r := Options{}.Table2(1)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -222,10 +228,11 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable3Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := Table3(1)
+	r := Options{}.Table3(1)
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -254,10 +261,11 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	a, b := Table3(7), Table3(7)
+	a, b := Options{}.Table3(7), Options{}.Table3(7)
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {
 			t.Fatalf("Table3 row %d differs across runs with same seed", i)

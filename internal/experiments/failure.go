@@ -31,7 +31,7 @@ type FailureResult struct {
 // FailureRecovery runs TPC-W on two replicas under a load that needs
 // both, crashes one, and lets the controller restore capacity from the
 // free pool.
-func FailureRecovery(seed uint64) (*FailureResult, error) {
+func (o Options) FailureRecovery(seed uint64) (*FailureResult, error) {
 	const (
 		interval = 10.0
 		crashAt  = 400.0
@@ -39,7 +39,7 @@ func FailureRecovery(seed uint64) (*FailureResult, error) {
 		clients  = 900 // needs two boxes; one survivor saturates
 		think    = 1.0
 	)
-	tb := newTestbed(seed, 3, 2*PoolPages, core.Config{Interval: interval, SettleIntervals: 3, FallbackAfter: 10})
+	tb := o.newTestbed(seed, 3, 2*PoolPages, core.Config{Interval: interval, SettleIntervals: 3, FallbackAfter: 10})
 	app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 	sched := tb.startApp(app)
 	victim, err := tb.mgr.ProvisionOnFreeServer(app.Name)

@@ -7,10 +7,11 @@ import (
 )
 
 func TestFailureRecovery(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r, err := FailureRecovery(1)
+	r, err := Options{}.FailureRecovery(1)
 	if err != nil {
 		t.Fatal(err)
 	}

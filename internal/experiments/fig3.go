@@ -31,7 +31,7 @@ type Figure3Result struct {
 // TPC-W into CPU saturation; the reactive provisioning algorithm
 // allocates replicas from the pool and load-balances all query classes
 // over them, bringing latency back under the SLA.
-func Figure3(seed uint64) *Figure3Result {
+func (o Options) Figure3(seed uint64) *Figure3Result {
 	const (
 		interval = 10.0
 		warmup   = 200.0 // buffer pools fill before measurement starts
@@ -41,7 +41,7 @@ func Figure3(seed uint64) *Figure3Result {
 	)
 	// Larger pools than the §5.3 configuration: this experiment isolates
 	// CPU contention, so the working set should cache well.
-	tb := newTestbed(seed, servers, 2*PoolPages, core.Config{
+	tb := o.newTestbed(seed, servers, 2*PoolPages, core.Config{
 		Interval:        interval,
 		ShrinkBelow:     0.30,
 		SettleIntervals: 3,

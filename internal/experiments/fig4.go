@@ -37,7 +37,7 @@ type Figure4Result struct {
 // Figure4 reproduces §5.3's diagnosis data: run TPC-W alone until stable,
 // drop the O_DATE index (degrading the BestSeller plan to an order-line
 // scan), and compare per-class metrics against the stable signature.
-func Figure4(seed uint64) *Figure4Result {
+func (o Options) Figure4(seed uint64) *Figure4Result {
 	const (
 		interval = 10.0
 		warmup   = 400.0
@@ -45,7 +45,7 @@ func Figure4(seed uint64) *Figure4Result {
 		clients  = 60
 		think    = 2.0
 	)
-	tb := newTestbed(seed, 2, PoolPages, core.Config{Interval: interval})
+	tb := o.newTestbed(seed, 2, PoolPages, core.Config{Interval: interval})
 	rng := tb.sim.RNG().Fork()
 	app := tpcw.New(rng, tpcw.Options{})
 	sched := tb.startApp(app)

@@ -86,7 +86,7 @@ func guardPolicy(template string) (core.Policy, error) {
 
 // GuardScenario runs one pathological template under the watchdog for
 // one seed.
-func GuardScenario(seed uint64, template string) (*GuardResult, error) {
+func (o Options) GuardScenario(seed uint64, template string) (*GuardResult, error) {
 	pol, err := guardPolicy(template)
 	if err != nil {
 		return nil, err
@@ -98,7 +98,7 @@ func GuardScenario(seed uint64, template string) (*GuardResult, error) {
 		// on shed rate alone with a tight tolerance — at nominal load the
 		// pre-action shed rate is exactly zero, so ANY rejected traffic
 		// is pure, noise-free harm.
-		return runGuardAdmission(seed, template, pol, guard.Config{
+		return o.runGuardAdmission(seed, template, pol, guard.Config{
 			EvaluateAfter: 2, BaselineWindow: 3, Tolerance: 0.02,
 			Weights: guard.Weights{Shed: 1},
 		}, workload.Constant(overloadNominal), 3)
@@ -106,7 +106,7 @@ func GuardScenario(seed uint64, template string) (*GuardResult, error) {
 		// A genuine 2× pulse: shedding is needed, but the template sheds
 		// the HIGHEST-impact class. Throughput-weighted fitness flags the
 		// value destruction and the rollback readmits it.
-		return runGuardAdmission(seed, template, pol, guard.Config{
+		return o.runGuardAdmission(seed, template, pol, guard.Config{
 			EvaluateAfter: 2, BaselineWindow: 3, Tolerance: 0.1,
 			Weights:     guard.Weights{P99: 0.1, Throughput: 0.6, Shed: 0.3},
 			StormWindow: 25,
@@ -115,11 +115,11 @@ func GuardScenario(seed uint64, template string) (*GuardResult, error) {
 		// The same pulse with hair-trigger readmission hysteresis: the
 		// template readmits mid-pulse and re-violates; the watchdog's
 		// rollback re-sheds the class it should not have let back in.
-		return runGuardAdmission(seed, template, pol, guard.Config{
+		return o.runGuardAdmission(seed, template, pol, guard.Config{
 			EvaluateAfter: 2, BaselineWindow: 3,
 		}, workload.Pulse(overloadNominal, overloadPeak, guardPulseAt, guardPulseEnd), 2)
 	case "always-busiest-placement":
-		return runGuardPlacement(seed, template, pol, guard.Config{
+		return o.runGuardPlacement(seed, template, pol, guard.Config{
 			EvaluateAfter: 3, BaselineWindow: 3,
 		})
 	}
@@ -141,22 +141,22 @@ const (
 
 // runGuardAdmission runs an admission-path template on the overload
 // geometry.
-func runGuardAdmission(seed uint64, template string, pol core.Policy, wcfg guard.Config,
+func (o Options) runGuardAdmission(seed uint64, template string, pol core.Policy, wcfg guard.Config,
 	load workload.LoadFunction, readmitAfter int) (*GuardResult, error) {
-	tb := newTestbed(seed, 2, PoolPages, core.Config{
+	tb := o.newTestbed(seed, 2, PoolPages, core.Config{
 		Interval:        guardInterval,
 		SettleIntervals: 2,
 		FallbackAfter:   1000,
 	})
 	rec := obs.NewRecorder(1 << 14)
 	lat := &classLatencyLog{clock: func() float64 { return tb.sim.Now().Seconds() }}
-	observer := obs.Tee(rec, lat, obsHooks.observer)
+	observer := obs.Tee(rec, lat, o.Observer)
 	tb.ctl.SetObserver(observer)
 	tb.mgr.Observer = observer
 	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
 
 	wd := guard.New(wcfg, observer)
-	wd.SetTracer(tracer)
+	wd.SetTracer(o.Tracer)
 	tb.ctl.SetGuard(wd)
 
 	app := overloadApp()
@@ -240,8 +240,8 @@ const (
 // interference), a RUBiS replica sits idle on db3 (the RIGHT reschedule
 // target) and another shares db2 with a CPU-saturating noise tenant
 // (the WORST one, and exactly the one the template picks).
-func runGuardPlacement(seed uint64, template string, pol core.Policy, wcfg guard.Config) (*GuardResult, error) {
-	tb := newTestbed(seed, 3, PoolPages, core.Config{
+func (o Options) runGuardPlacement(seed uint64, template string, pol core.Policy, wcfg guard.Config) (*GuardResult, error) {
+	tb := o.newTestbed(seed, 3, PoolPages, core.Config{
 		Interval:        guardInterval,
 		SettleIntervals: 3,
 		// Every server is occupied by design, so the coarse posture's
@@ -251,13 +251,13 @@ func runGuardPlacement(seed uint64, template string, pol core.Policy, wcfg guard
 		FallbackAfter: 1000,
 	})
 	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
+	observer := obs.Tee(rec, o.Observer)
 	tb.ctl.SetObserver(observer)
 	tb.mgr.Observer = observer
 	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
 
 	wd := guard.New(wcfg, observer)
-	wd.SetTracer(tracer)
+	wd.SetTracer(o.Tracer)
 	tb.ctl.SetGuard(wd)
 
 	// db1: TPC-W. db2: the noise tenant, CPU-saturated.

@@ -76,31 +76,36 @@ var protectedBounds = map[string]float64{
 // template under the action watchdog at three seeds and asserts the
 // detect → revert → contain → recover story the scorecard tells.
 func TestGuardWatchdogRevertsPathologies(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("guard lab runs minutes of virtual time")
 	}
-	for _, seed := range guardSeeds {
+	forSeeds(t, guardSeeds, func(t *testing.T, seed uint64) {
 		for _, tpl := range GuardTemplates() {
-			res, err := GuardScenario(seed, tpl)
-			if err != nil {
-				t.Fatalf("%s seed=%d: %v", tpl, seed, err)
-			}
-			assertGuardInvariants(t, res)
-			if bound := protectedBounds[tpl]; res.ProtectedLatency > bound {
-				t.Errorf("%s seed=%d: protected latency %.3fs exceeds the %.1fs containment bound",
-					tpl, seed, res.ProtectedLatency, bound)
-			}
-			t.Logf("%s seed=%d: %+v protected=%.3fs ttm=%.0fs ttr=%.0fs",
-				tpl, seed, res.Watchdog, res.ProtectedLatency,
-				res.Scorecard.TimeToMitigate, res.Scorecard.TimeToRecover)
+			t.Run(tpl, func(t *testing.T) {
+				t.Parallel()
+				res, err := Options{}.GuardScenario(seed, tpl)
+				if err != nil {
+					t.Fatalf("%s seed=%d: %v", tpl, seed, err)
+				}
+				assertGuardInvariants(t, res)
+				if bound := protectedBounds[tpl]; res.ProtectedLatency > bound {
+					t.Errorf("%s seed=%d: protected latency %.3fs exceeds the %.1fs containment bound",
+						tpl, seed, res.ProtectedLatency, bound)
+				}
+				t.Logf("%s seed=%d: %+v protected=%.3fs ttm=%.0fs ttr=%.0fs",
+					tpl, seed, res.Watchdog, res.ProtectedLatency,
+					res.Scorecard.TimeToMitigate, res.Scorecard.TimeToRecover)
+			})
 		}
-	}
+	})
 }
 
 // TestGuardScenarioUnknownTemplate pins the error contract callers
 // (cmd/outlierlb, benchrunner) rely on for up-front validation.
 func TestGuardScenarioUnknownTemplate(t *testing.T) {
-	if _, err := GuardScenario(1, "no-such-template"); err == nil {
+	t.Parallel()
+	if _, err := (Options{}).GuardScenario(1, "no-such-template"); err == nil {
 		t.Fatal("GuardScenario accepted an unknown template")
 	}
 }

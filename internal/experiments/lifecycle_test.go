@@ -16,13 +16,14 @@ import (
 // the whole stack: workload → scheduler → engine → pool/disk/CPU →
 // metrics → controller → actions.
 func TestLifecycle(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
 	// The coarse fallback is a last resort: give the fine-grained
 	// diagnosis room to collect a full MRC window even under throttled
 	// throughput (the interference slows the very class being measured).
-	tb := newTestbed(1, 4, PoolPages, core.Config{
+	tb := Options{}.newTestbed(1, 4, PoolPages, core.Config{
 		Interval: 10, SettleIntervals: 3, FallbackAfter: 20,
 	})
 

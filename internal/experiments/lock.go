@@ -32,7 +32,7 @@ type LockResult struct {
 // a stable period, the write query starts being invoked with "wrong
 // arguments" — a predicate that locks the table two orders of magnitude
 // longer — and the controller's lock diagnosis names it.
-func LockContention(seed uint64) *LockResult {
+func (o Options) LockContention(seed uint64) *LockResult {
 	const (
 		interval = 10.0
 		breakAt  = 300.0
@@ -40,7 +40,7 @@ func LockContention(seed uint64) *LockResult {
 		clients  = 40
 		think    = 1.0
 	)
-	tb := newTestbed(seed, 1, PoolPages, core.Config{Interval: interval, SettleIntervals: 2})
+	tb := o.newTestbed(seed, 1, PoolPages, core.Config{Interval: interval, SettleIntervals: 2})
 	rng := tb.sim.RNG().Fork()
 
 	update := metrics.ClassID{App: "ledger", Class: "UpdateBalance"}

@@ -8,10 +8,11 @@ import (
 )
 
 func TestLockContentionDiagnosis(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	r := LockContention(1)
+	r := Options{}.LockContention(1)
 	// The anomaly causes a large, durable latency increase.
 	if r.ContendedLatency < 10*r.StableLatency {
 		t.Fatalf("contention latency %.3f not ≫ stable %.3f", r.ContendedLatency, r.StableLatency)
@@ -35,10 +36,11 @@ func TestLockContentionDiagnosis(t *testing.T) {
 }
 
 func TestLockContentionDeterministic(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("long scenario")
 	}
-	a, b := LockContention(3), LockContention(3)
+	a, b := Options{}.LockContention(3), Options{}.LockContention(3)
 	if a.StableLatency != b.StableLatency || a.ContendedLatency != b.ContendedLatency ||
 		a.ReportedVictim != b.ReportedVictim {
 		t.Fatal("lock scenario not deterministic")

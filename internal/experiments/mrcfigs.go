@@ -20,8 +20,8 @@ type MRCResult struct {
 // mrcOf runs app under load long enough to fill the class's recent
 // page-access window, then computes the MRC exactly the way the
 // controller does: from the engine-side window via the log analyzer.
-func mrcOf(seed uint64, build func(tb *testbed) (analyze func() *MRCResult)) *MRCResult {
-	tb := newTestbed(seed, 1, PoolPages, core.Config{Interval: 10})
+func (o Options) mrcOf(seed uint64, build func(tb *testbed) (analyze func() *MRCResult)) *MRCResult {
+	tb := o.newTestbed(seed, 1, PoolPages, core.Config{Interval: 10})
 	analyze := build(tb)
 	return analyze()
 }
@@ -29,8 +29,8 @@ func mrcOf(seed uint64, build func(tb *testbed) (analyze func() *MRCResult)) *MR
 // Figure5 reproduces the MRC of the BestSeller query class under the
 // normal (indexed) configuration: the curve descends steadily until
 // ~7000 pages (the paper reports 6982 pages of acceptable memory).
-func Figure5(seed uint64) *MRCResult {
-	return mrcOf(seed, func(tb *testbed) func() *MRCResult {
+func (o Options) Figure5(seed uint64) *MRCResult {
+	return o.mrcOf(seed, func(tb *testbed) func() *MRCResult {
 		app := tpcw.New(tb.sim.RNG().Fork(), tpcw.Options{})
 		sched := tb.startApp(app)
 		em := tb.emulate(sched, tpcw.Mix(), 1.0, workload.Constant(60))
@@ -53,8 +53,8 @@ func Figure5(seed uint64) *MRCResult {
 // Figure6 reproduces the MRC of the RUBiS SearchItemsByRegion query
 // class: acceptable memory ≈ 7900 pages (the paper reports 7906), nearly
 // the entire 8192-page pool.
-func Figure6(seed uint64) *MRCResult {
-	return mrcOf(seed, func(tb *testbed) func() *MRCResult {
+func (o Options) Figure6(seed uint64) *MRCResult {
+	return o.mrcOf(seed, func(tb *testbed) func() *MRCResult {
 		app := rubis.New(tb.sim.RNG().Fork(), "")
 		sched := tb.startApp(app)
 		em := tb.emulate(sched, rubis.Mix(""), 1.0, workload.Constant(60))

@@ -182,8 +182,8 @@ func (l *classLatencyLog) mean(class string, from, to float64) float64 {
 }
 
 // Overload runs the overload-protection scenario for one seed.
-func Overload(seed uint64) (*OverloadResult, error) {
-	tb := newTestbed(seed, 2, PoolPages, core.Config{
+func (o Options) Overload(seed uint64) (*OverloadResult, error) {
+	tb := o.newTestbed(seed, 2, PoolPages, core.Config{
 		Interval:        overloadInterval,
 		SettleIntervals: 2,
 		// Coarse isolation needs a free server, which this cluster never
@@ -192,7 +192,7 @@ func Overload(seed uint64) (*OverloadResult, error) {
 	})
 	rec := obs.NewRecorder(1 << 14)
 	lat := &classLatencyLog{clock: func() float64 { return tb.sim.Now().Seconds() }}
-	observer := obs.Tee(rec, lat, obsHooks.observer)
+	observer := obs.Tee(rec, lat, o.Observer)
 	tb.ctl.SetObserver(observer)
 	tb.mgr.Observer = observer
 	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }

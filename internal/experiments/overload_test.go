@@ -66,8 +66,9 @@ func checkOverload(t *testing.T, res *OverloadResult) {
 // shedding — protected classes keep their SLA, sheds escalate lowest
 // impact first, and everything is readmitted once the pulse passes.
 func TestOverloadProtection(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		res, err := Overload(seed)
+	t.Parallel()
+	forSeeds(t, []uint64{1, 2, 3}, func(t *testing.T, seed uint64) {
+		res, err := Options{}.Overload(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -75,16 +76,17 @@ func TestOverloadProtection(t *testing.T) {
 			seed, res.NominalLatency, res.PeakLatency, res.ProtectedLatency, res.FinalLatency,
 			res.ShedOrder, res.Resheds, res.Readmits, res.ShedInteractions)
 		checkOverload(t, res)
-	}
+	})
 }
 
 // TestOverloadDeterminism: the same seed must reproduce the same run.
 func TestOverloadDeterminism(t *testing.T) {
-	a, err := Overload(7)
+	t.Parallel()
+	a, err := Options{}.Overload(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Overload(7)
+	b, err := Options{}.Overload(7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ type MidpointResult struct {
 // AblationMidpointVsQuota quantifies how much of the §5.3 damage
 // midpoint insertion absorbs on its own, compared to the quota the
 // paper's diagnosis derives.
-func AblationMidpointVsQuota(seed uint64) *MidpointResult {
+func (Options) AblationMidpointVsQuota(seed uint64) *MidpointResult {
 	const (
 		accesses = 2_000_000
 		warm     = 0.25
@@ -111,7 +111,7 @@ func AblationMidpointVsQuota(seed uint64) *MidpointResult {
 }
 
 // Table1 reproduces §5.3's partitioning study.
-func Table1(seed uint64) *Table1Result {
+func (Options) Table1(seed uint64) *Table1Result {
 	const (
 		accesses = 2_000_000
 		warm     = 0.25

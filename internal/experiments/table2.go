@@ -33,7 +33,7 @@ type Table2Result struct {
 // diagnoses the newly-added RUBiS SearchItemsByRegion class as the
 // problem (its acceptable memory cannot be co-located with TPC-W) and
 // reschedules it onto a different replica, after which TPC-W recovers.
-func Table2(seed uint64) *Table2Result {
+func (o Options) Table2(seed uint64) *Table2Result {
 	const (
 		interval    = 10.0
 		aloneUntil  = 400.0
@@ -43,7 +43,7 @@ func Table2(seed uint64) *Table2Result {
 		rubisCli    = 60
 		think       = 2.0
 	)
-	tb := newTestbed(seed, 2, PoolPages, core.Config{
+	tb := o.newTestbed(seed, 2, PoolPages, core.Config{
 		Interval:        interval,
 		SettleIntervals: 3,
 	})

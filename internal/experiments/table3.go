@@ -40,7 +40,7 @@ type Table3Result struct {
 // suffers memory interference. Removing the top-I/O query class
 // (SearchItemsByRegion) from domain-2 — rescheduling it onto a different
 // physical machine — restores domain-1 to near its baseline.
-func Table3(seed uint64) *Table3Result {
+func (Options) Table3(seed uint64) *Table3Result {
 	const (
 		phase       = 400.0
 		clients     = 200

@@ -139,11 +139,11 @@ func flashCohorts() []wltemporal.Cohort {
 	}
 }
 
-// FlashCrowd runs the flash-crowd scenario for one seed. With a trace
-// installed via SetReplay the recorded offered load replaces the live
+// FlashCrowd runs the flash-crowd scenario for one seed. With
+// Options.Replay set the recorded offered load replaces the live
 // generators, exactly as in the emulator-driven scenarios.
-func FlashCrowd(seed uint64) (*TemporalResult, error) {
-	res, _, err := runFlashCrowd(seed, false, replayTrace)
+func (o Options) FlashCrowd(seed uint64) (*TemporalResult, error) {
+	res, _, err := o.runFlashCrowd(seed, false, o.Replay)
 	return res, err
 }
 
@@ -152,8 +152,8 @@ func FlashCrowd(seed uint64) (*TemporalResult, error) {
 // it feeds the trace through a Replayer instead of driving the
 // generators (RNG fork parity keeps the rest of the run bit-identical —
 // TraceReplayIdentity asserts exactly that).
-func runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*TemporalResult, *wltemporal.Trace, error) {
-	tb := newTestbed(seed, 2, PoolPages, core.Config{
+func (o Options) runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*TemporalResult, *wltemporal.Trace, error) {
+	tb := o.newTestbed(seed, 2, PoolPages, core.Config{
 		Interval:        temporalInterval,
 		SettleIntervals: 2,
 		FallbackAfter:   1000, // the brownout and provisioning, not coarse isolation
@@ -161,7 +161,7 @@ func runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*Tempora
 		ShrinkAfter:     3,
 	})
 	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
+	observer := obs.Tee(rec, o.Observer)
 	tb.ctl.SetObserver(observer)
 	tb.mgr.Observer = observer
 	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
@@ -190,7 +190,7 @@ func runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*Tempora
 		gen = rep
 	} else {
 		cfg := wltemporal.Config{}
-		if record || arrivalHook != nil {
+		if record || o.OnArrival != nil {
 			if record {
 				wrec = wltemporal.NewRecorder()
 				for _, c := range flashCohorts() {
@@ -201,8 +201,8 @@ func runFlashCrowd(seed uint64, record bool, replay *wltemporal.Trace) (*Tempora
 				if wrec != nil {
 					wrec.Observe(cohort, t, class)
 				}
-				if arrivalHook != nil {
-					arrivalHook(cohort, t, class)
+				if o.OnArrival != nil {
+					o.OnArrival(cohort, t, class)
 				}
 			}
 		}
@@ -248,8 +248,8 @@ const (
 )
 
 // DiurnalShift runs the diurnal-cycle scenario for one seed.
-func DiurnalShift(seed uint64) (*TemporalResult, error) {
-	tb := newTestbed(seed, 2, PoolPages, core.Config{
+func (o Options) DiurnalShift(seed uint64) (*TemporalResult, error) {
+	tb := o.newTestbed(seed, 2, PoolPages, core.Config{
 		Interval:        temporalInterval,
 		SettleIntervals: 2,
 		FallbackAfter:   1000,
@@ -257,7 +257,7 @@ func DiurnalShift(seed uint64) (*TemporalResult, error) {
 		ShrinkAfter:     3,
 	})
 	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
+	observer := obs.Tee(rec, o.Observer)
 	tb.ctl.SetObserver(observer)
 	tb.mgr.Observer = observer
 	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
@@ -309,8 +309,8 @@ func olapApp() *cluster.Application {
 }
 
 // OLAPAntagonist runs the co-location scenario for one seed.
-func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
-	tb := newTestbed(seed, 3, 2*PoolPages, core.Config{
+func (o Options) OLAPAntagonist(seed uint64) (*TemporalResult, error) {
+	tb := o.newTestbed(seed, 3, 2*PoolPages, core.Config{
 		Interval:        temporalInterval,
 		SettleIntervals: 3,
 		// Antagonist interference can be too diffuse for a single fine-
@@ -322,7 +322,7 @@ func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
 		ShrinkAfter:   3,
 	})
 	rec := obs.NewRecorder(1 << 14)
-	observer := obs.Tee(rec, obsHooks.observer)
+	observer := obs.Tee(rec, o.Observer)
 	tb.ctl.SetObserver(observer)
 	tb.mgr.Observer = observer
 	tb.mgr.Clock = func() float64 { return tb.sim.Now().Seconds() }
@@ -352,8 +352,8 @@ func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
 		StartAt: olapSurgeAt,
 		StopAt:  olapClearAt,
 	}}, wltemporal.Config{OnArrival: func(cohort string, t float64, class metrics.ClassID) {
-		if arrivalHook != nil {
-			arrivalHook(cohort, t, class)
+		if o.OnArrival != nil {
+			o.OnArrival(cohort, t, class)
 		}
 	}})
 	if err != nil {
@@ -380,15 +380,15 @@ func OLAPAntagonist(seed uint64) (*TemporalResult, error) {
 // replayed run's result (scorecard and all) and errors on any
 // divergence, so a regression in replay fidelity fails the resilience
 // gate rather than shifting numbers silently.
-func TraceReplayIdentity(seed uint64) (*TemporalResult, error) {
-	orig, tr, err := runFlashCrowd(seed, true, nil)
+func (o Options) TraceReplayIdentity(seed uint64) (*TemporalResult, error) {
+	orig, tr, err := o.runFlashCrowd(seed, true, nil)
 	if err != nil {
 		return nil, err
 	}
 	if tr == nil || len(tr.Arrivals) == 0 {
 		return nil, fmt.Errorf("trace-replay-identity: recorded an empty trace")
 	}
-	replayed, _, err := runFlashCrowd(seed, false, tr)
+	replayed, _, err := o.runFlashCrowd(seed, false, tr)
 	if err != nil {
 		return nil, err
 	}

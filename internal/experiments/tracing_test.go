@@ -1,21 +1,30 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"outlierlb/internal/obs"
 )
 
-// withTracer runs one scenario with a full-sampling tracer installed
-// (the process-global hook the tools use) and hands back the retained
+// withTracer runs one scenario with a full-sampling tracer in its
+// Options (as the tools' -trace.sample does) and hands back the retained
 // traces plus lifetime stats.
-func withTracer(ring int, run func()) ([]*obs.Span, obs.TraceStats) {
+func withTracer(ring int, run func(o Options)) ([]*obs.Span, obs.TraceStats) {
 	tr := obs.NewTracer(1, 1.0, ring)
-	SetTracer(tr)
-	defer SetTracer(nil)
-	run()
+	run(Options{Tracer: tr})
 	return tr.Recent(0), tr.Stats()
+}
+
+// forSeeds runs fn as one parallel subtest "seed=N" per seed.
+func forSeeds(t *testing.T, seeds []uint64, fn func(t *testing.T, seed uint64)) {
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			fn(t, seed)
+		})
+	}
 }
 
 // assertWellFormed validates every retained trace and checks the
@@ -83,12 +92,13 @@ func findSpan(s *obs.Span, id obs.SpanID) *obs.Span {
 // (resolvable parents, no orphans) and the retries the breaker provokes
 // must show up as sibling attempt spans under the query roots.
 func TestTracingChaosWellFormed(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("chaos tracing sweep is slow; run without -short")
 	}
-	for _, seed := range chaosSeeds {
-		traces, stats := withTracer(2048, func() {
-			r, err := ChaosGrayFailure(seed)
+	forSeeds(t, chaosSeeds, func(t *testing.T, seed uint64) {
+		traces, stats := withTracer(2048, func(o Options) {
+			r, err := o.ChaosGrayFailure(seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +113,7 @@ func TestTracingChaosWellFormed(t *testing.T) {
 		if multi == 0 {
 			t.Errorf("seed=%d: no retained trace shows a retry hop (sibling attempt spans)", seed)
 		}
-	}
+	})
 }
 
 // TestTracingOverloadWellFormed traces the overload brownout: every
@@ -112,11 +122,12 @@ func TestTracingChaosWellFormed(t *testing.T) {
 // which post-readmission are all admitted — the rejected-verdict path
 // is unit-tested in internal/admission.)
 func TestTracingOverloadWellFormed(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("overload tracing sweep is slow; run without -short")
 	}
-	traces, _ := withTracer(4096, func() {
-		r, err := Overload(chaosSeeds[0])
+	traces, _ := withTracer(4096, func(o Options) {
+		r, err := o.Overload(chaosSeeds[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,10 +154,11 @@ func TestTracingOverloadWellFormed(t *testing.T) {
 // fig3-style run at sample rate 1.0, where every trace's queue, service
 // and retry phases must sum to its root duration within 1%.
 func TestTracingFigure3PhasePartition(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("figure-3 tracing run is slow; run without -short")
 	}
-	traces, stats := withTracer(1024, func() { Figure3(1) })
+	traces, stats := withTracer(1024, func(o Options) { o.Figure3(1) })
 	if stats.Sampled != stats.Started || stats.Started == 0 {
 		t.Fatalf("rate 1.0 sampled %d of %d queries", stats.Sampled, stats.Started)
 	}
@@ -170,12 +182,13 @@ func TestTracingFigure3PhasePartition(t *testing.T) {
 // bit-identical to the untraced run (sampling hashes a private seed,
 // never the simulation RNG).
 func TestTracingGoldensUntouched(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("double figure-3 run is slow; run without -short")
 	}
-	base := Figure3(1)
+	base := Options{}.Figure3(1)
 	var traced *Figure3Result
-	withTracer(64, func() { traced = Figure3(1) })
+	withTracer(64, func(o Options) { traced = o.Figure3(1) })
 	if len(base.Latency) != len(traced.Latency) {
 		t.Fatalf("series length changed: %d vs %d", len(base.Latency), len(traced.Latency))
 	}

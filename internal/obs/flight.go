@@ -201,11 +201,13 @@ func (r *RunRecording) Encode(w io.Writer) error {
 }
 
 // DecodeRun parses one RUN_*.json document. It rejects a missing or
-// unknown schema_version, trailing data, and series whose point count
-// disagrees with the tick count, so a truncated or hand-edited file
-// fails loudly.
+// unknown schema_version, unknown fields, trailing data, and series
+// whose point count disagrees with the tick count, so a truncated,
+// hand-edited or other-kind file (a BENCH or RESIL document) fails
+// loudly.
 func DecodeRun(rd io.Reader) (*RunRecording, error) {
 	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
 	var r RunRecording
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("obs: decoding run recording: %w", err)

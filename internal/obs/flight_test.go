@@ -139,6 +139,20 @@ func TestDecodeRunStrict(t *testing.T) {
 	}
 }
 
+// TestDecodeRunRejectsOtherKinds feeds DecodeRun the two other
+// documents that share schema_version 1, as their writers emit them: a
+// BENCH and a RESIL document must fail, not load as an empty recording.
+func TestDecodeRunRejectsOtherKinds(t *testing.T) {
+	for kind, doc := range map[string]string{
+		"BENCH": `{"schema_version": 1, "commit": "abc1234", "go_version": "go1.24.0", "goos": "linux", "goarch": "amd64", "gomaxprocs": 2, "options": {"reps": 1, "macro_reps": 1, "warmup": 0, "min_run_ns": 0, "seed": 1}, "scenarios": []}`,
+		"RESIL": `{"schema_version": 1, "commit": "abc1234", "go_version": "go1.24.0", "scorecards": []}`,
+	} {
+		if _, err := DecodeRun(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s document: err = %v, want an unknown-field rejection", kind, err)
+		}
+	}
+}
+
 func TestFlightRecorderEmptyRun(t *testing.T) {
 	f := NewFlightRecorder(NewRegistry(), nil, RunMeta{})
 	rec := f.Snapshot()

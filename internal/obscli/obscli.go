@@ -1,8 +1,10 @@
 // Package obscli wires the observability layer into the command-line
-// tools: it attaches a Recorder to every testbed the experiments package
-// builds, optionally serves the debug endpoints, and gates live
-// diagnosis so the (single-threaded) controller is only read once the
-// simulation has finished.
+// tools: it turns the -v, -obs.*, -trace.*, -ctrl.*, -wl.* and
+// -sig.store flags into the experiments.Options a run is called on (a
+// Recorder as its observer, a tracer, the control-link defaults, the
+// arrival and replay hooks), optionally serves the debug endpoints, and
+// gates live diagnosis so the (single-threaded) controller is only read
+// once the simulation has finished.
 //
 // Concurrency: the HTTP server runs concurrently with the simulation,
 // but it only touches the concurrent-safe surfaces of internal/obs; the
@@ -71,12 +73,10 @@ func RegisterCtrlFlags() *CtrlFlags {
 	}
 }
 
-// Apply pushes the parsed -ctrl.* values into the experiments hooks so
-// every subsequently built testbed uses them.
-func (c *CtrlFlags) Apply() {
-	experiments.SetCtrlLink(ctrlnet.Config{
-		Latency: *c.latency, Jitter: *c.jitter, Drop: *c.drop, Dup: *c.dup,
-	})
+// Apply sets the run's control-link defaults from the parsed -ctrl.*
+// values, so every testbed the run builds uses them.
+func (c *CtrlFlags) Apply(o *experiments.Options) {
+	o.CtrlLink = ctrlnet.Config{Latency: *c.latency, Jitter: *c.jitter, Drop: *c.drop, Dup: *c.dup}
 }
 
 // AnySet reports whether any -ctrl.* flag was passed explicitly (call
@@ -120,11 +120,10 @@ func RegisterWlFlags() *WlFlags {
 	}
 }
 
-// Apply validates the parsed -wl.* values and installs them into the
-// experiments hooks: -wl.replay loads the trace up front so a bad file
-// fails before any simulation state exists; -wl.record attaches a
-// recorder to the arrival hook.
-func (w *WlFlags) Apply() error {
+// Apply validates the parsed -wl.* values and sets them on the run:
+// -wl.replay loads the trace up front so a bad file fails before any
+// simulation state exists; -wl.record points OnArrival at a recorder.
+func (w *WlFlags) Apply(o *experiments.Options) error {
 	if *w.record != "" && *w.replay != "" {
 		return errors.New("-wl.record and -wl.replay are mutually exclusive")
 	}
@@ -133,13 +132,13 @@ func (w *WlFlags) Apply() error {
 		if err != nil {
 			return fmt.Errorf("-wl.replay: %w", err)
 		}
-		experiments.SetReplay(tr)
+		o.Replay = tr
 		fmt.Fprintf(os.Stderr, "workload: replaying %d arrivals (%d cohorts, %d classes) from %s\n",
 			len(tr.Arrivals), len(tr.Cohorts), len(tr.Classes), *w.replay)
 	}
 	if *w.record != "" {
 		w.rec = wltemporal.NewRecorder()
-		experiments.SetArrivalHook(w.rec.Observe)
+		o.OnArrival = w.rec.Observe
 	}
 	return nil
 }
@@ -215,6 +214,9 @@ type Session struct {
 	// runOut is where Finish flushes the flight recording.
 	runOut string
 
+	// hooks is what Apply attaches to a run; zero for a disabled session.
+	hooks experiments.Options
+
 	mu      sync.Mutex
 	ctl     *core.Controller
 	running bool
@@ -256,14 +258,14 @@ func Start(o Options) (*Session, error) {
 			observer = obs.Tee(s.Recorder, s.Flight)
 		}
 	}
-	experiments.SetTracer(s.Tracer)
-	experiments.SetObsHooks(observer, func(ctl *core.Controller, _ *cluster.Manager, _ *sim.Engine) {
-		s.mu.Lock()
-		s.ctl = ctl
-		s.running = true
-		s.mu.Unlock()
-		s.warmStart(ctl)
-	})
+	s.hooks = experiments.Options{Observer: observer, Tracer: s.Tracer,
+		OnTestbed: func(ctl *core.Controller, _ *cluster.Manager, _ *sim.Engine) {
+			s.mu.Lock()
+			s.ctl = ctl
+			s.running = true
+			s.mu.Unlock()
+			s.warmStart(ctl)
+		}}
 	if o.Addr != "" {
 		srv, bound, err := obs.Serve(o.Addr, obs.MuxConfig{
 			Log:      s.Recorder.Events(),
@@ -290,6 +292,13 @@ func Start(o Options) (*Session, error) {
 		fmt.Fprintf(os.Stderr, "observability: serving %s on http://%s\n", endpoints, bound)
 	}
 	return s, nil
+}
+
+// Apply attaches the session to a run: its observer and tracer, and a
+// testbed callback that points live diagnosis and -sig.store at the
+// newest controller. A disabled session leaves all three nil.
+func (s *Session) Apply(o *experiments.Options) {
+	o.Observer, o.Tracer, o.OnTestbed = s.hooks.Observer, s.hooks.Tracer, s.hooks.OnTestbed
 }
 
 // Addr reports the bound HTTP address, or "" when no server runs.

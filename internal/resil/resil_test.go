@@ -145,6 +145,20 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsOtherKinds feeds Decode the two other documents
+// that share schema_version 1, as their writers emit them: a BENCH and
+// a RUN document must fail, not load as zero scorecards.
+func TestDecodeRejectsOtherKinds(t *testing.T) {
+	for kind, doc := range map[string]string{
+		"BENCH": `{"schema_version": 1, "commit": "abc1234", "go_version": "go1.24.0", "goos": "linux", "goarch": "amd64", "gomaxprocs": 2, "options": {"reps": 1, "macro_reps": 1, "warmup": 0, "min_run_ns": 0, "seed": 1}, "scenarios": []}`,
+		"RUN":   `{"schema_version": 1, "tool": "outlierlb", "scenario": "cpu", "seed": 1, "sample_rate": 1, "ticks": [], "series": [], "trace_stats": {"started": 0, "sampled": 0, "finished": 0, "evicted": 0}}`,
+	} {
+		if _, err := Decode(strings.NewReader(doc)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s document: err = %v, want an unknown-field rejection", kind, err)
+		}
+	}
+}
+
 func TestWriteFileAtomicAndRefusesOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "RESIL_test.json")

@@ -49,10 +49,12 @@ func (d *Doc) Encode(w io.Writer) error {
 }
 
 // Decode parses one RESIL_*.json document. It rejects a missing or
-// unknown schema_version and trailing data after the document, so a
-// truncated or concatenated file fails loudly.
+// unknown schema_version, unknown fields and trailing data after the
+// document, so a truncated, concatenated or other-kind file (a BENCH or
+// RUN document) fails loudly.
 func Decode(r io.Reader) (*Doc, error) {
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	var d Doc
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("resil: decoding scorecard: %w", err)

@@ -86,6 +86,10 @@ type MixEntry struct {
 	Weight float64
 }
 
+// adjustEvery is how often, in seconds, an emulator reconciles its
+// running client population with Config.Load.
+const adjustEvery = 1.0
+
 // Config controls an emulator.
 type Config struct {
 	// Mix is the interaction mix; weights need not sum to 1.
@@ -100,9 +104,6 @@ type Config struct {
 	// Load is the target client population over time. Defaults to
 	// Constant(1).
 	Load LoadFunction
-	// AdjustEvery is how often the emulator reconciles the running client
-	// population with Load, in seconds. Defaults to 1.
-	AdjustEvery float64
 	// Transitions, when non-nil, turns the session into a Markov chain:
 	// after completing class X, a client draws its next interaction from
 	// Transitions[X] instead of the global mix (which still seeds each
@@ -162,9 +163,6 @@ func NewEmulator(engine *sim.Engine, sched *cluster.Scheduler, cfg Config) (*Emu
 	if cfg.ThinkTime <= 0 {
 		cfg.ThinkTime = 1
 	}
-	if cfg.AdjustEvery <= 0 {
-		cfg.AdjustEvery = 1
-	}
 	if cfg.Load == nil {
 		cfg.Load = Constant(1)
 	}
@@ -215,10 +213,10 @@ func (e *Emulator) adjust() {
 		slot := slot
 		// Stagger session starts uniformly over the adjustment window so
 		// a ramp-up does not arrive as a thundering herd.
-		delay := e.rng.Uniform(0, e.cfg.AdjustEvery)
+		delay := e.rng.Uniform(0, adjustEvery)
 		e.sim.ScheduleKind(simcore.KindArrival, delay, func() { e.clientStep(slot) })
 	}
-	e.sim.ScheduleKind(simcore.KindIntervalTick, e.cfg.AdjustEvery, e.adjust)
+	e.sim.ScheduleKind(simcore.KindIntervalTick, adjustEvery, e.adjust)
 }
 
 func drawFrom(rng *sim.RNG, mix []MixEntry) (metrics.ClassID, bool) {
