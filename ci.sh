@@ -29,8 +29,9 @@ go test -race -short -count=1 ./internal/metrics/ ./internal/obs/ ./internal/gua
 # when its tests ran one at a time): the chaos, overload, guard and
 # adversarial suites are full simulations × 3 seeds each, run as
 # parallel subtests, so the default 10 min per-package test timeout is
-# not enough.
-go test -race -timeout 20m ./...
+# not enough. -count=1 bypasses the test cache: a cached pass would run
+# nothing under the race detector.
+go test -race -count=1 -timeout 20m ./...
 
 # Seed-pinned chaos smoke run: gray-failure + flapping under seed 1,
 # short mode. The full 3-seed chaos suite already ran above; this run

@@ -98,6 +98,9 @@ func loadPages(in, class, gen string, span uint64, skew float64, n int, seed uin
 	var g trace.Generator
 	switch gen {
 	case "zipf":
+		if !(skew > 1) {
+			return nil, fmt.Errorf("-gen zipf needs -skew > 1, got %v", skew)
+		}
 		g = trace.NewZipfSet(rng, 0, span, skew)
 	case "scan":
 		g = &trace.SequentialScan{Span: span}
@@ -107,6 +110,9 @@ func loadPages(in, class, gen string, span uint64, skew float64, n int, seed uin
 		return nil, fmt.Errorf("need -in FILE or -gen zipf|scan|uniform")
 	default:
 		return nil, fmt.Errorf("unknown generator %q", gen)
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("-n must not be negative, got %d", n)
 	}
 	return trace.Generate(g, n), nil
 }

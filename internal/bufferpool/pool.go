@@ -17,7 +17,10 @@
 // collector (internal/metrics) on the same owner.
 package bufferpool
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Stats aggregates the per-class counters the engine logs.
 type Stats struct {
@@ -64,12 +67,19 @@ type partition struct {
 	young sublist // front = MRU
 	old   sublist // front = midpoint boundary, back = eviction victim
 	// nodes holds every node the partition ever allocated; free heads
-	// the list, linked through next, of those not resident. The table
-	// maps a resident page to its node and holds no pointers, so the
-	// garbage collector does not scan it.
+	// the list, linked through next, of those not resident.
 	nodes []node
 	free  int32
-	table map[uint64]int32
+	// slots is the page table, which maps a resident page to its node:
+	// an open-addressing hash table of node indexes (nilNode when empty)
+	// that compares keys through nodes[i].id, so it stores no keys and
+	// no pointers. Pages hash multiplicatively to a home slot (the top
+	// bits of id·2^64/φ, shift being 64 − log2 len(slots)), probes run
+	// linearly, deletion shifts later entries of the cluster back, and
+	// the table doubles to stay at most half full.
+	slots []int32
+	shift uint8
+	used  int // occupied slots
 	// oldCap is the old sublist's target size; 0 disables midpoint
 	// insertion.
 	oldCap int
@@ -80,8 +90,8 @@ func newPartition(capacity int, midpoint float64) *partition {
 		young: sublist{front: nilNode, back: nilNode},
 		old:   sublist{front: nilNode, back: nilNode},
 		free:  nilNode,
-		table: make(map[uint64]int32),
 	}
+	p.resize(minSlots)
 	p.setCapacity(capacity, midpoint)
 	return p
 }
@@ -102,6 +112,72 @@ func (p *partition) setCapacity(capacity int, midpoint float64) {
 }
 
 func (p *partition) len() int { return p.young.n + p.old.n }
+
+// minSlots is the page table's initial size.
+const minSlots = 8
+
+// home returns the slot where the probe for page id starts.
+func (p *partition) home(id uint64) int {
+	return int(id * 0x9e3779b97f4a7c15 >> p.shift)
+}
+
+// find returns the node of resident page id, or nilNode.
+func (p *partition) find(id uint64) int32 {
+	mask := len(p.slots) - 1
+	for s := p.home(id); ; s = (s + 1) & mask {
+		if i := p.slots[s]; i == nilNode || p.nodes[i].id == id {
+			return i
+		}
+	}
+}
+
+// place puts node i, whose page is not in the table, in the first free
+// slot of its probe sequence.
+func (p *partition) place(i int32) {
+	mask := len(p.slots) - 1
+	s := p.home(p.nodes[i].id)
+	for p.slots[s] != nilNode {
+		s = (s + 1) & mask
+	}
+	p.slots[s] = i
+}
+
+// resize rebuilds the page table with n slots, a power of two.
+func (p *partition) resize(n int) {
+	old := p.slots
+	p.slots = make([]int32, n)
+	for s := range p.slots {
+		p.slots[s] = nilNode
+	}
+	p.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for _, i := range old {
+		if i != nilNode {
+			p.place(i)
+		}
+	}
+}
+
+// unmap removes node i's page from the page table. Each later entry of
+// the probe cluster moves back into the hole unless its home slot lies
+// cyclically after the hole, so every probe still reaches its entry
+// before an empty slot.
+func (p *partition) unmap(i int32) {
+	mask := len(p.slots) - 1
+	hole := p.home(p.nodes[i].id)
+	for p.slots[hole] != i {
+		hole = (hole + 1) & mask
+	}
+	for s := (hole + 1) & mask; p.slots[s] != nilNode; s = (s + 1) & mask {
+		j := p.slots[s]
+		if (s-p.home(p.nodes[j].id))&mask < (s-hole)&mask {
+			continue // j's home is in (hole, s]: it must stay after it
+		}
+		p.slots[hole] = j
+		hole = s
+	}
+	p.slots[hole] = nilNode
+	p.used--
+}
 
 func (p *partition) pushFront(l *sublist, i int32) {
 	p.nodes[i].prev, p.nodes[i].next = nilNode, l.front
@@ -151,13 +227,17 @@ func (p *partition) alloc(id uint64, owner int32) int32 {
 		i = int32(len(p.nodes))
 		p.nodes = append(p.nodes, node{id: id, owner: owner})
 	}
-	p.table[id] = i
+	if 2*(p.used+1) > len(p.slots) {
+		p.resize(2 * len(p.slots))
+	}
+	p.place(i)
+	p.used++
 	return i
 }
 
-// release drops unlinked node i from the table onto the free list.
+// release drops unlinked node i from the page table onto the free list.
 func (p *partition) release(i int32) {
-	delete(p.table, p.nodes[i].id)
+	p.unmap(i)
 	p.nodes[i].next = p.free
 	p.free = i
 }
@@ -406,10 +486,7 @@ func (p *Pool) Write(cs *Class, pg uint64) AccessResult {
 	res, i := p.access(cs, pg)
 	if res.Prefetched > 0 {
 		// Read-ahead may have evicted the page, and reused its node.
-		var ok bool
-		if i, ok = cs.part.table[pg]; !ok {
-			i = nilNode
-		}
+		i = cs.part.find(pg)
 	}
 	if i != nilNode {
 		cs.part.nodes[i].dirty = true
@@ -462,8 +539,8 @@ func (p *Pool) access(cs *Class, pg uint64) (AccessResult, int32) {
 	cs.stats.Accesses++
 
 	var res AccessResult
-	i, ok := part.table[pg]
-	if ok {
+	i := part.find(pg)
+	if i != nilNode {
 		part.touch(i)
 		cs.stats.Hits++
 		res.Hit = true
@@ -505,7 +582,7 @@ func (p *Pool) prefetch(cs *Class, first uint64, n int) int {
 	fetched := 0
 	for i := 0; i < n; i++ {
 		id := first + uint64(i)
-		if _, ok := part.table[id]; ok {
+		if part.find(id) != nilNode {
 			continue
 		}
 		if part.capacity <= 0 {
@@ -529,8 +606,7 @@ func (p *Pool) Contains(class string, pg uint64) bool {
 	if cs := p.classes[class]; cs != nil {
 		part = cs.part
 	}
-	_, ok := part.table[pg]
-	return ok
+	return part.find(pg) != nilNode
 }
 
 // Resident reports the number of pages currently cached across all

@@ -52,21 +52,6 @@ func (g *RNG) Normal(mean, stddev float64) float64 {
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Zipf draws values in [0, n) with a Zipfian distribution of exponent s.
-// Smaller indexes are more popular. It panics if n <= 0 or s <= 1 is
-// violated by the underlying generator's constraints (s must be > 1).
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf returns a Zipf generator over [0, n) with skew s (> 1).
-func (g *RNG) NewZipf(s float64, n uint64) *Zipf {
-	return &Zipf{z: rand.NewZipf(g.r, s, 1, n-1)}
-}
-
-// Next draws the next Zipf value.
-func (z *Zipf) Next() uint64 { return z.z.Uint64() }
-
 // Pareto returns a bounded Pareto-ish heavy-tailed value with the given
 // minimum and shape alpha (> 0). Used for occasional heavyweight service
 // demands.
