@@ -82,12 +82,15 @@ go run ./cmd/benchrunner -suite.short -out "$BENCH_TMP/BENCH_ci.json" -baseline 
 # never build it.
 (cd perfbench && go vet ./... && go test ./...)
 
-# Benchmark smoke run: one short overload-sweep run, built from source
-# the way BENCHMARK.json runs it. Its last line is the JSON result, which
-# must report every scenario call correct and none failed.
-PERF_RESULT="$(bash perfbench/run.sh --workload overload-sweep --seed 1 --seconds 3 --trace 0 | tail -n 1)"
-echo "$PERF_RESULT" | grep -q '"correct":true'
-echo "$PERF_RESULT" | grep -q '"failed":0,'
+# Benchmark smoke runs: one short run of each workload BENCHMARK.json
+# declares, built from source the way it runs them (about 10 s in all).
+# Each run's last line is the JSON result, which must report every
+# scenario call correct and none failed.
+for workload in fig3-provisioning olap-antagonist overload-sweep; do
+	PERF_RESULT="$(bash perfbench/run.sh --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+	echo "$PERF_RESULT" | grep -q '"correct":true'
+	echo "$PERF_RESULT" | grep -q '"failed":0,'
+done
 
 # Tracetool smoke: record a fully-traced §5.2 run to a flight-recorder
 # file, then make tracetool decode it strictly and render the per-phase

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -105,6 +106,9 @@ func loadPages(in, class, gen string, span uint64, skew float64, n int, seed uin
 	case "scan":
 		g = &trace.SequentialScan{Span: span}
 	case "uniform":
+		if span > math.MaxInt {
+			return nil, fmt.Errorf("-gen uniform needs -span ≤ %d, got %d", math.MaxInt, span)
+		}
 		g = trace.NewUniformSet(rng, 0, span)
 	case "":
 		return nil, fmt.Errorf("need -in FILE or -gen zipf|scan|uniform")

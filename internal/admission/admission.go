@@ -85,7 +85,7 @@ type Config struct {
 	Deadline float64
 	// Protected marks classes exempt from the token gate and off-limits
 	// to the brownout shed list — the traffic the system degrades
-	// everything else to keep serving.
+	// everything else to keep serving. NewController reads it once.
 	Protected map[metrics.ClassID]bool
 	// ReadmitAfter is the brownout hysteresis: how many consecutive
 	// stable intervals must pass before one shed class is re-admitted.
@@ -135,7 +135,8 @@ type Controller struct {
 	queues map[string]*Queue // keyed by server name
 
 	brownout brownout
-	counts   map[metrics.ClassID]*Counts
+	// classes holds every class's ledger and flags.
+	classes map[metrics.ClassID]*Class
 
 	// tracer, when non-nil, annotates the current query's span with the
 	// gate verdict and slot decisions. Wired once before traffic starts;
@@ -147,12 +148,18 @@ type Controller struct {
 // NewController returns a controller with cfg's defaults filled in.
 func NewController(cfg Config) *Controller {
 	cfg.fill()
-	return &Controller{
-		cfg:    cfg,
-		tokens: cfg.Burst,
-		queues: make(map[string]*Queue),
-		counts: make(map[metrics.ClassID]*Counts),
+	a := &Controller{
+		cfg:     cfg,
+		tokens:  cfg.Burst,
+		queues:  make(map[string]*Queue),
+		classes: make(map[metrics.ClassID]*Class),
 	}
+	for id, on := range cfg.Protected {
+		if on {
+			a.class(id).protected = true
+		}
+	}
+	return a
 }
 
 // Config returns the controller's (filled) configuration.
@@ -164,11 +171,33 @@ func (a *Controller) SetTracer(t *obs.Tracer) {
 	a.tracer.Store(t)
 }
 
-func (a *Controller) count(id metrics.ClassID) *Counts {
-	c := a.counts[id]
+// Class is one query class's admission state: its ledger, whether it is
+// protected, and whether it is on the brownout shed list. Its fields
+// belong to the Controller that issued it and are guarded by that
+// controller's lock.
+type Class struct {
+	id        metrics.ClassID
+	counts    Counts
+	protected bool
+	shed      bool
+}
+
+// Class returns id's admission state, creating it on first use. A caller
+// that admits the same class over and over, like the scheduler, resolves
+// it once and passes it to AdmitClass. The result is only meaningful to
+// this controller.
+func (a *Controller) Class(id metrics.ClassID) *Class {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.class(id)
+}
+
+// class is Class for callers holding the lock.
+func (a *Controller) class(id metrics.ClassID) *Class {
+	c := a.classes[id]
 	if c == nil {
-		c = &Counts{}
-		a.counts[id] = c
+		c = &Class{id: id}
+		a.classes[id] = c
 	}
 	return c
 }
@@ -178,26 +207,32 @@ func (a *Controller) count(id metrics.ClassID) *Counts {
 // bucket (protected classes are exempt — that is their protection).
 // A nil error means the query may proceed to replica selection.
 func (a *Controller) Admit(now float64, id metrics.ClassID) error {
+	return a.AdmitClass(now, a.Class(id))
+}
+
+// AdmitClass is Admit for a class already resolved through Class.
+func (a *Controller) AdmitClass(now float64, c *Class) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	sp := a.tracer.Load().Current()
-	if a.brownout.isShed(id) {
-		a.count(id).Shed++
+	id := c.id
+	if c.shed {
+		c.counts.Shed++
 		sp.AddEvent(now, obs.EventAdmissionRejected, string(ReasonShed), nil)
 		return &RejectionError{ID: id, Reason: ReasonShed,
 			Detail: "class on brownout shed list"}
 	}
-	if a.cfg.Rate > 0 && !a.cfg.Protected[id] {
+	if a.cfg.Rate > 0 && !c.protected {
 		a.refill(now)
 		if a.tokens < 1 {
-			a.count(id).Throttled++
+			c.counts.Throttled++
 			sp.AddEvent(now, obs.EventAdmissionRejected, string(ReasonThrottled), nil)
 			return &RejectionError{ID: id, Reason: ReasonThrottled,
 				Detail: fmt.Sprintf("token bucket empty (rate %.3g/s)", a.cfg.Rate)}
 		}
 		a.tokens--
 	}
-	a.count(id).Admitted++
+	c.counts.Admitted++
 	if sp != nil {
 		tokens := a.tokens
 		if a.cfg.Rate <= 0 {
@@ -234,12 +269,18 @@ func (a *Controller) QueueFor(server string) *Queue {
 
 // TryEnqueue reserves an in-flight slot on server for a query arriving
 // at now whose completion is estimated est seconds away. It returns the
-// empty Reason on success (the caller must Commit or Cancel the slot),
-// ReasonQueueFull when the queue is at capacity, or ReasonDeadline when
-// the estimate says the query would finish past the configured deadline
-// — the early rejection that sheds doomed work at enqueue instead of
-// after it wasted a slot.
-func (a *Controller) TryEnqueue(server string, now, est float64) Reason {
+// empty Reason on success (the caller must Commit or Cancel the slot on
+// *q), ReasonQueueFull when the queue is at capacity, or ReasonDeadline
+// when the estimate says the query would finish past the configured
+// deadline — the early rejection that sheds doomed work at enqueue
+// instead of after it wasted a slot.
+//
+// *q caches server's queue for the caller. When it is nil, TryEnqueue
+// resolves it through QueueFor once the deadline check has passed, so a
+// server whose queries are all shed early gets no queue, exactly as
+// without the cache. A caller keeps *q per server and per controller;
+// later calls then skip QueueFor's lock and lookup.
+func (a *Controller) TryEnqueue(q **Queue, server string, now, est float64) Reason {
 	sp := a.tracer.Load().Current()
 	if a.cfg.Deadline > 0 && est > a.cfg.Deadline {
 		if sp != nil {
@@ -248,7 +289,10 @@ func (a *Controller) TryEnqueue(server string, now, est float64) Reason {
 		}
 		return ReasonDeadline
 	}
-	if !a.QueueFor(server).TryAcquire(now) {
+	if *q == nil {
+		*q = a.QueueFor(server)
+	}
+	if !(*q).TryAcquire(now) {
 		sp.AddEvent(now, obs.EventSlotReject, string(ReasonQueueFull), nil)
 		return ReasonQueueFull
 	}
@@ -263,11 +307,12 @@ func (a *Controller) TryEnqueue(server string, now, est float64) Reason {
 // the scheduler surfaces.
 func (a *Controller) Reject(id metrics.ClassID, r Reason, detail string) error {
 	a.mu.Lock()
+	c := a.class(id)
 	switch r {
 	case ReasonDeadline:
-		a.count(id).DeadlineRejected++
+		c.counts.DeadlineRejected++
 	default:
-		a.count(id).QueueRejected++
+		c.counts.QueueRejected++
 	}
 	a.mu.Unlock()
 	return &RejectionError{ID: id, Reason: r, Detail: detail}
@@ -277,8 +322,8 @@ func (a *Controller) Reject(id metrics.ClassID, r Reason, detail string) error {
 func (a *Controller) CountsFor(id metrics.ClassID) Counts {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if c := a.counts[id]; c != nil {
-		return *c
+	if c := a.classes[id]; c != nil {
+		return c.counts
 	}
 	return Counts{}
 }
@@ -288,8 +333,8 @@ func (a *Controller) TotalRejected() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var n int64
-	for _, c := range a.counts {
-		n += c.Rejected()
+	for _, c := range a.classes {
+		n += c.counts.Rejected()
 	}
 	return n
 }
@@ -300,10 +345,11 @@ func (a *Controller) TotalRejected() int64 {
 func (a *Controller) ShedClass(id metrics.ClassID) (int, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.cfg.Protected[id] {
+	c := a.class(id)
+	if c.protected {
 		return 0, false
 	}
-	return a.brownout.shed(id)
+	return a.brownout.shed(c)
 }
 
 // StableTick advances the brownout hysteresis by one stable interval:
@@ -334,7 +380,8 @@ func (a *Controller) ReadmitTick(choose func([]metrics.ClassID) metrics.ClassID)
 func (a *Controller) Readmit(id metrics.ClassID) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.brownout.readmit(id)
+	c := a.classes[id]
+	return c != nil && a.brownout.readmit(c)
 }
 
 // ViolationTick resets the brownout hysteresis streak: re-admission
@@ -356,7 +403,8 @@ func (a *Controller) ShedClasses() []metrics.ClassID {
 func (a *Controller) IsShed(id metrics.ClassID) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.brownout.isShed(id)
+	c := a.classes[id]
+	return c != nil && c.shed
 }
 
 // Snapshot renders the controller's state as one observability sample.
@@ -380,15 +428,20 @@ func (a *Controller) Snapshot(now float64, app string) obs.AdmissionObs {
 			Server: name, Depth: a.queues[name].Depth(now),
 		})
 	}
-	ids := make([]metrics.ClassID, 0, len(a.counts))
-	for id := range a.counts {
-		ids = append(ids, id)
+	// The ledger lists the classes that have seen a query: every Admit
+	// and Reject counts one, so a class only shed or protected so far
+	// still has all-zero counts.
+	counted := make([]*Class, 0, len(a.classes))
+	for _, c := range a.classes {
+		if c.counts != (Counts{}) {
+			counted = append(counted, c)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].String() < ids[j].String() })
-	for _, id := range ids {
-		c := a.counts[id]
+	sort.Slice(counted, func(i, j int) bool { return counted[i].id.String() < counted[j].id.String() })
+	for _, cs := range counted {
+		c := cs.counts
 		s.Classes = append(s.Classes, obs.AdmissionClassObs{
-			Class: id.Class, Admitted: c.Admitted, Shed: c.Shed,
+			Class: cs.id.Class, Admitted: c.Admitted, Shed: c.Shed,
 			Throttled: c.Throttled, QueueRejected: c.QueueRejected,
 			DeadlineRejected: c.DeadlineRejected,
 		})

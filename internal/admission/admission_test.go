@@ -2,6 +2,8 @@ package admission
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,14 +157,14 @@ func TestQueueBounds(t *testing.T) {
 
 func TestTryEnqueueDeadline(t *testing.T) {
 	a := NewController(Config{QueueCap: 1, Deadline: 1.0})
-	if r := a.TryEnqueue("db1", 0, 2.0); r != ReasonDeadline {
+	if r := a.TryEnqueue(new(*Queue), "db1", 0, 2.0); r != ReasonDeadline {
 		t.Fatalf("doomed query got %q, want deadline rejection", r)
 	}
 	// The deadline rejection must not have consumed the slot.
-	if r := a.TryEnqueue("db1", 0, 0.5); r != "" {
+	if r := a.TryEnqueue(new(*Queue), "db1", 0, 0.5); r != "" {
 		t.Fatalf("viable query got %q", r)
 	}
-	if r := a.TryEnqueue("db1", 0, 0.5); r != ReasonQueueFull {
+	if r := a.TryEnqueue(new(*Queue), "db1", 0, 0.5); r != ReasonQueueFull {
 		t.Fatalf("full queue got %q", r)
 	}
 	err := a.Reject(cid("browse"), ReasonQueueFull, "all replicas full")
@@ -179,8 +181,8 @@ func TestTryEnqueueDeadline(t *testing.T) {
 func TestSnapshot(t *testing.T) {
 	a := NewController(Config{Rate: 10, Burst: 4, QueueCap: 8})
 	_ = a.Admit(0, cid("browse"))
-	a.TryEnqueue("db2", 0, 0)
-	a.TryEnqueue("db1", 0, 0)
+	a.TryEnqueue(new(*Queue), "db2", 0, 0)
+	a.TryEnqueue(new(*Queue), "db1", 0, 0)
 	a.ShedClass(cid("audit"))
 	s := a.Snapshot(0, "shop")
 	if s.App != "shop" || s.Tokens != 3 {
@@ -273,13 +275,14 @@ func TestControllerConcurrent(t *testing.T) {
 			defer wg.Done()
 			id := cid(fmt.Sprintf("class-%d", w%4))
 			server := fmt.Sprintf("db%d", w%2+1)
+			var q *Queue
 			for i := 0; i < 300; i++ {
 				now := float64(i)
 				if err := a.Admit(now, id); err != nil {
 					continue
 				}
-				if r := a.TryEnqueue(server, now, 0); r == "" {
-					a.QueueFor(server).Commit(now)
+				if r := a.TryEnqueue(&q, server, now, 0); r == "" {
+					q.Commit(now)
 				}
 				switch i % 50 {
 				case 10:
@@ -313,7 +316,7 @@ func BenchmarkAdmission(b *testing.B) {
 		if err := a.Admit(now, id); err != nil {
 			b.Fatal(err)
 		}
-		if r := a.TryEnqueue("db1", now, 0.5); r != "" {
+		if r := a.TryEnqueue(&q, "db1", now, 0.5); r != "" {
 			b.Fatal(r)
 		}
 		q.Commit(now + 0.1)
@@ -341,7 +344,7 @@ func TestSpanVerdictEvents(t *testing.T) {
 		if err := a.Admit(0, cid("browse")); err != nil {
 			t.Fatal(err)
 		}
-		if r := a.TryEnqueue("db1", 0, 0.5); r != "" {
+		if r := a.TryEnqueue(new(*Queue), "db1", 0, 0.5); r != "" {
 			t.Fatalf("enqueue rejected: %s", r)
 		}
 	})
@@ -379,7 +382,7 @@ func TestSpanVerdictEvents(t *testing.T) {
 
 	// Deadline early rejection at enqueue.
 	evs = events(func() {
-		if r := a.TryEnqueue("db1", 10, 5); r != ReasonDeadline {
+		if r := a.TryEnqueue(new(*Queue), "db1", 10, 5); r != ReasonDeadline {
 			t.Fatalf("reason = %q, want deadline", r)
 		}
 	})
@@ -389,7 +392,7 @@ func TestSpanVerdictEvents(t *testing.T) {
 
 	// Queue full: the single slot is still held by the first query.
 	evs = events(func() {
-		if r := a.TryEnqueue("db1", 10, 0.5); r != ReasonQueueFull {
+		if r := a.TryEnqueue(new(*Queue), "db1", 10, 0.5); r != ReasonQueueFull {
 			t.Fatalf("reason = %q, want queue-full", r)
 		}
 	})
@@ -401,5 +404,70 @@ func TestSpanVerdictEvents(t *testing.T) {
 	tr.SetCurrent(nil)
 	if err := a.Admit(20, cid("other")); err != nil {
 		t.Fatalf("untraced admit: %v", err)
+	}
+}
+
+// TestClassHandle: AdmitClass on a resolved Class is Admit — the same
+// ledger, shed flag and protection — and a class that was only resolved
+// stays out of the snapshot's ledger.
+func TestClassHandle(t *testing.T) {
+	vip := cid("vip")
+	a := NewController(Config{Rate: 1, Burst: 1, Protected: map[metrics.ClassID]bool{vip: true}})
+	browse := a.Class(cid("browse"))
+	a.Class(cid("idle"))
+	if a.Class(cid("browse")) != browse {
+		t.Fatal("Class resolved one class to two states")
+	}
+	if err := a.AdmitClass(0, browse); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Admit(0, cid("browse")); err == nil {
+		t.Fatal("Admit by ID did not see the token AdmitClass spent")
+	}
+	if err := a.AdmitClass(0, a.Class(vip)); err != nil {
+		t.Fatalf("protected class throttled through its handle: %v", err)
+	}
+	a.ShedClass(cid("browse"))
+	err := a.AdmitClass(5, browse)
+	if rej, ok := IsRejection(err); !ok || rej.Reason != ReasonShed || rej.ID != cid("browse") {
+		t.Fatalf("shed class through its handle: err = %v", err)
+	}
+	if c := a.CountsFor(cid("browse")); c != (Counts{Admitted: 1, Throttled: 1, Shed: 1}) {
+		t.Fatalf("browse ledger = %+v", c)
+	}
+	for _, c := range a.Snapshot(5, "shop").Classes {
+		if c.Class == "idle" {
+			t.Fatal("a class that saw no query is in the snapshot's ledger")
+		}
+	}
+}
+
+// TestDoneHeapOrder: the typed completion heap pops in ascending order
+// and so frees exactly the slots whose completion time has passed.
+func TestDoneHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h doneHeap
+	var want []float64
+	for i := 0; i < 2000; i++ {
+		if len(h) > 0 && rng.Intn(3) == 0 {
+			got := h[0]
+			h.pop()
+			if got != want[0] {
+				t.Fatalf("pop %d returned %v, want the minimum %v", i, got, want[0])
+			}
+			want = want[1:]
+			continue
+		}
+		x := float64(rng.Intn(500)) // repeats exercise equal keys
+		h.push(x)
+		want = append(want, x)
+		sort.Float64s(want)
+	}
+	for len(h) > 0 {
+		if h[0] != want[0] {
+			t.Fatalf("drain returned %v, want %v", h[0], want[0])
+		}
+		h.pop()
+		want = want[1:]
 	}
 }

@@ -7,31 +7,27 @@ import "outlierlb/internal/metrics"
 // re-admission is LIFO — the last (highest-impact, most valuable) class
 // shed is the first to return — and gated on a streak of consecutive
 // stable intervals so one quiet interval mid-overload cannot re-admit a
-// class the next interval will have to shed again.
+// class the next interval will have to shed again. A class's shed flag
+// lives on its Class, so the entry gate reads it without a lookup
+// of its own.
 //
 // Callers hold the owning Controller's lock; brownout itself is not
 // concurrent-safe.
 type brownout struct {
-	shedSet map[metrics.ClassID]bool
 	// order is the shed sequence, oldest first. Re-admission pops from
 	// the back.
-	order  []metrics.ClassID
+	order  []*Class
 	streak int // consecutive stable intervals since the last violation
 }
 
-func (b *brownout) isShed(id metrics.ClassID) bool { return b.shedSet[id] }
-
-// shed appends id to the shed list and returns its 1-based position in
+// shed appends c to the shed list and returns its 1-based position in
 // the shed order; a duplicate is refused.
-func (b *brownout) shed(id metrics.ClassID) (int, bool) {
-	if b.shedSet[id] {
+func (b *brownout) shed(c *Class) (int, bool) {
+	if c.shed {
 		return 0, false
 	}
-	if b.shedSet == nil {
-		b.shedSet = make(map[metrics.ClassID]bool)
-	}
-	b.shedSet[id] = true
-	b.order = append(b.order, id)
+	c.shed = true
+	b.order = append(b.order, c)
 	// A fresh shed proves the system was not stable; the re-admission
 	// streak restarts.
 	b.streak = 0
@@ -43,19 +39,12 @@ func (b *brownout) shed(id metrics.ClassID) (int, bool) {
 // readmitAfter. The streak restarts after each re-admission so classes
 // return one at a time, each earning its own stable streak.
 func (b *brownout) stableTick(readmitAfter int) (metrics.ClassID, bool) {
-	if len(b.order) == 0 {
-		b.streak = 0
+	if !b.streakDone(readmitAfter) {
 		return metrics.ClassID{}, false
 	}
-	b.streak++
-	if b.streak < readmitAfter {
-		return metrics.ClassID{}, false
-	}
-	b.streak = 0
-	id := b.order[len(b.order)-1]
-	b.order = b.order[:len(b.order)-1]
-	delete(b.shedSet, id)
-	return id, true
+	c := b.order[len(b.order)-1]
+	b.readmit(c)
+	return c.id, true
 }
 
 // stableTickChoose is stableTick with the LIFO pick replaced by an
@@ -63,33 +52,46 @@ func (b *brownout) stableTick(readmitAfter int) (metrics.ClassID, bool) {
 // chooser returning a class not on the list falls back to LIFO, so a
 // buggy policy cannot wedge re-admission.
 func (b *brownout) stableTickChoose(readmitAfter int, choose func([]metrics.ClassID) metrics.ClassID) (metrics.ClassID, bool) {
+	if !b.streakDone(readmitAfter) {
+		return metrics.ClassID{}, false
+	}
+	id := choose(b.shedClasses())
+	for _, c := range b.order {
+		if c.id == id {
+			b.readmit(c)
+			return id, true
+		}
+	}
+	c := b.order[len(b.order)-1]
+	b.readmit(c)
+	return c.id, true
+}
+
+// streakDone advances the stable streak and reports whether it reached
+// readmitAfter with a class left to re-admit, restarting it if so.
+func (b *brownout) streakDone(readmitAfter int) bool {
 	if len(b.order) == 0 {
 		b.streak = 0
-		return metrics.ClassID{}, false
+		return false
 	}
 	b.streak++
 	if b.streak < readmitAfter {
-		return metrics.ClassID{}, false
-	}
-	b.streak = 0
-	id := choose(append([]metrics.ClassID(nil), b.order...))
-	if !b.readmit(id) {
-		id = b.order[len(b.order)-1]
-		b.readmit(id)
-	}
-	return id, true
-}
-
-// readmit removes id from the shed list wherever it sits in the order,
-// reporting whether it was shed. Used by the watchdog's rollback of a
-// shed action and by policy-driven re-admission.
-func (b *brownout) readmit(id metrics.ClassID) bool {
-	if !b.shedSet[id] {
 		return false
 	}
-	delete(b.shedSet, id)
+	b.streak = 0
+	return true
+}
+
+// readmit removes c from the shed list wherever it sits in the order,
+// reporting whether it was shed. Used by the watchdog's rollback of a
+// shed action and by policy-driven re-admission.
+func (b *brownout) readmit(c *Class) bool {
+	if !c.shed {
+		return false
+	}
+	c.shed = false
 	for i, got := range b.order {
-		if got == id {
+		if got == c {
 			b.order = append(b.order[:i], b.order[i+1:]...)
 			break
 		}
@@ -100,5 +102,9 @@ func (b *brownout) readmit(id metrics.ClassID) bool {
 func (b *brownout) violationTick() { b.streak = 0 }
 
 func (b *brownout) shedClasses() []metrics.ClassID {
-	return append([]metrics.ClassID(nil), b.order...)
+	var out []metrics.ClassID
+	for _, c := range b.order {
+		out = append(out, c.id)
+	}
+	return out
 }

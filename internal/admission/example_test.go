@@ -54,19 +54,21 @@ func Example() {
 
 // ExampleController_TryEnqueue shows the combined helper the scheduler
 // uses: deadline check plus slot reservation in one call, with a typed
-// Reason explaining any refusal.
+// Reason explaining any refusal. q caches db1's queue across calls, the
+// way the scheduler keeps one per replica.
 func ExampleController_TryEnqueue() {
 	a := admission.NewController(admission.Config{QueueCap: 1, Deadline: 0.5})
+	var q *admission.Queue
 
 	// Estimated completion 0.3 s out: within deadline, slot granted.
-	fmt.Println("fast query:", reasonOrOK(a.TryEnqueue("db1", 0, 0.3)))
+	fmt.Println("fast query:", reasonOrOK(a.TryEnqueue(&q, "db1", 0, 0.3)))
 
 	// 2 s estimate breaches the 0.5 s deadline — shed before it wastes
 	// the slot the first query is still holding.
-	fmt.Println("doomed query:", reasonOrOK(a.TryEnqueue("db1", 0, 2.0)))
+	fmt.Println("doomed query:", reasonOrOK(a.TryEnqueue(&q, "db1", 0, 2.0)))
 
 	// Within deadline, but the single slot is taken.
-	fmt.Println("third query:", reasonOrOK(a.TryEnqueue("db1", 0, 0.3)))
+	fmt.Println("third query:", reasonOrOK(a.TryEnqueue(&q, "db1", 0, 0.3)))
 	// Output:
 	// fast query: ok
 	// doomed query: deadline

@@ -1,9 +1,6 @@
 package admission
 
-import (
-	"container/heap"
-	"sync"
-)
+import "sync"
 
 // Queue is one replica's bounded in-flight tracker. A slot is held from
 // TryAcquire until its query's completion time passes (Commit) or the
@@ -43,7 +40,7 @@ func (q *Queue) Cap() int { return q.cap }
 // Caller holds the lock.
 func (q *Queue) prune(now float64) {
 	for len(q.done) > 0 && q.done[0] <= now {
-		heap.Pop(&q.done)
+		q.done.pop()
 	}
 }
 
@@ -68,7 +65,7 @@ func (q *Queue) Commit(done float64) {
 	if q.reserved > 0 {
 		q.reserved--
 	}
-	heap.Push(&q.done, done)
+	q.done.push(done)
 }
 
 // Cancel releases a reserved slot without executing (the attempt was
@@ -89,17 +86,49 @@ func (q *Queue) Depth(now float64) int {
 	return q.reserved + len(q.done)
 }
 
-// doneHeap is a min-heap of completion times.
+// doneHeap is a binary min-heap of completion times. It is typed rather
+// than built on container/heap, whose interface boxes every float pushed
+// or popped.
 type doneHeap []float64
 
-func (h doneHeap) Len() int            { return len(h) }
-func (h doneHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h doneHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *doneHeap) Push(x interface{}) { *h = append(*h, x.(float64)) }
-func (h *doneHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *doneHeap) push(x float64) {
+	s := append(*h, x)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p] <= x {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = x
+	*h = s
+}
+
+// pop removes the minimum. The heap must be non-empty.
+func (h *doneHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	x := s[n]
+	s = s[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r] < s[c] {
+			c = r
+		}
+		if x <= s[c] {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = x
+	}
+	*h = s
 }

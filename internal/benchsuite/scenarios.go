@@ -194,7 +194,7 @@ func Suite() []Scenario {
 						if err := a.Admit(now, id); err != nil {
 							panic(err)
 						}
-						if r := a.TryEnqueue("db1", now, 0.5); r != "" {
+						if r := a.TryEnqueue(&q, "db1", now, 0.5); r != "" {
 							panic(r)
 						}
 						q.Commit(now + 0.1)

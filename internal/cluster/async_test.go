@@ -138,9 +138,10 @@ func TestRecoveredReplicaServesNoStaleReads(t *testing.T) {
 	if err := s.PlaceClass(readID, r1); err != nil {
 		t.Fatal(err)
 	}
-	r, start := s.pickFreshReplica(0.2, s.Placement(readID), readID, nil)
-	if r != r1 {
-		t.Fatalf("read routed to %v, want the recovered replica", r)
+	c, _ := s.class(readID)
+	st, start := s.pickFreshReplica(0.2, c, nil)
+	if st == nil || st.r != r1 {
+		t.Fatalf("read routed to %v, want the recovered replica", st)
 	}
 	if start != 0.2 {
 		t.Fatalf("read held until %v — a pre-crash freshness horizon survived recovery", start)
@@ -148,7 +149,7 @@ func TestRecoveredReplicaServesNoStaleReads(t *testing.T) {
 	if _, err := s.Submit(0.2, readID); err != nil {
 		t.Fatal(err)
 	}
-	if got := r1.AppliedSeq("shop"); got != s.WriteSeq() {
+	if got := s.AppliedSeq(r1); got != s.WriteSeq() {
 		t.Fatalf("recovered replica at seq %d, scheduler at %d", got, s.WriteSeq())
 	}
 }

@@ -16,6 +16,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"outlierlb/internal/admission"
@@ -34,11 +35,6 @@ type Replica struct {
 	eng *engine.Engine
 	srv *server.Server
 
-	// appliedSeq tracks, per application, the last write sequence number
-	// applied on this replica — the consistency bookkeeping behind
-	// read-one-write-all.
-	appliedSeq map[string]int64
-
 	// failed marks a crashed replica: it receives no reads and applies
 	// no writes until recovery. This is the announced (administrative)
 	// crash — the scheduler is told.
@@ -53,7 +49,7 @@ type Replica struct {
 
 // NewReplica wraps an engine hosted on srv as a replica.
 func NewReplica(eng *engine.Engine, srv *server.Server) *Replica {
-	return &Replica{eng: eng, srv: srv, appliedSeq: make(map[string]int64)}
+	return &Replica{eng: eng, srv: srv}
 }
 
 // Engine returns the replica's database engine.
@@ -61,9 +57,6 @@ func (r *Replica) Engine() *engine.Engine { return r.eng }
 
 // Server returns the physical server hosting the replica.
 func (r *Replica) Server() *server.Server { return r.srv }
-
-// AppliedSeq reports the last write sequence applied for app.
-func (r *Replica) AppliedSeq(app string) int64 { return r.appliedSeq[app] }
 
 // Failed reports whether the replica is currently crashed.
 func (r *Replica) Failed() bool { return r.failed }
@@ -96,21 +89,25 @@ type Scheduler struct {
 	app      *Application
 	tracker  *sla.Tracker
 	replicas []*Replica
-	// placement maps each query class to the replicas serving its reads.
-	placement map[metrics.ClassID][]*Replica
-	rr        map[metrics.ClassID]int
-	writeSeq  int64
+	// states holds the scheduler's routing state of each attached
+	// replica, in replicas order.
+	states []*replicaState
+	// classes is the per-class table in app.Classes order; index resolves
+	// a ClassID to its position once per Submit, and everything after
+	// that works on the table entry.
+	classes  []classState
+	index    map[metrics.ClassID]int
+	writeSeq int64
 
 	// asyncLag > 0 switches the scheduler to asynchronous replication
 	// (the paper's underlying substrate is a scheduler-based asynchronous
 	// replication scheme with strong consistency): a write completes when
 	// the first replica finishes, while the remaining replicas apply it
-	// asyncLag seconds later. freshAt tracks, per replica, the virtual
-	// time by which it will have applied every write issued so far; reads
+	// asyncLag seconds later. Each replica's freshAt is the virtual time
+	// by which it will have applied every write issued so far; reads
 	// preserve one-copy semantics by waiting for freshness when no
 	// up-to-date replica is available.
 	asyncLag float64
-	freshAt  map[*Replica]float64
 	balancer Balancer
 
 	// Failure detection, retry and circuit breaking (health.go). The
@@ -135,6 +132,36 @@ type Scheduler struct {
 	tracer *obs.Tracer
 }
 
+// classState is one query class's entry in the scheduler's table.
+type classState struct {
+	spec engine.ClassSpec
+	// placement lists the replicas serving the class's reads.
+	placement []*replicaState
+	// rr is the round-robin cursor over placement.
+	rr int
+	// adm is the class's state in the attached admission controller.
+	adm *admission.Class
+}
+
+// replicaState is the scheduler's view of one attached replica. It
+// belongs to the scheduler, not to the Replica, because Manager.Attach
+// lets one replica serve several applications, each with its own write
+// sequence and admission controller.
+type replicaState struct {
+	r *Replica
+	// applied is the last write sequence of this application applied on
+	// the replica — the consistency bookkeeping behind
+	// read-one-write-all.
+	applied int64
+	// freshAt is the virtual time by which the replica will have applied
+	// every asynchronous write issued so far (zero when none is pending).
+	freshAt float64
+	// queue is the replica's bounded in-flight queue in the attached
+	// admission controller, resolved on the first slot reservation and
+	// cleared when the controller changes.
+	queue *admission.Queue
+}
+
 // Balancer selects how reads spread over a class's placement.
 type Balancer int
 
@@ -152,24 +179,25 @@ func NewScheduler(app *Application) (*Scheduler, error) {
 	if app == nil || app.Name == "" {
 		return nil, fmt.Errorf("cluster: scheduler needs a named application")
 	}
-	seen := make(map[metrics.ClassID]bool)
-	for _, spec := range app.Classes {
+	index := make(map[metrics.ClassID]int, len(app.Classes))
+	classes := make([]classState, len(app.Classes))
+	for i, spec := range app.Classes {
 		if spec.ID.App != app.Name {
 			return nil, fmt.Errorf("cluster: class %v does not belong to application %q", spec.ID, app.Name)
 		}
-		if seen[spec.ID] {
+		if _, dup := index[spec.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate class %v", spec.ID)
 		}
-		seen[spec.ID] = true
+		index[spec.ID] = i
+		classes[i].spec = spec
 	}
 	return &Scheduler{
-		app:       app,
-		tracker:   sla.NewTracker(app.SLA),
-		placement: make(map[metrics.ClassID][]*Replica),
-		rr:        make(map[metrics.ClassID]int),
-		freshAt:   make(map[*Replica]float64),
-		health:    make(map[*Replica]*replicaHealth),
-		observer:  obs.Nop{},
+		app:      app,
+		tracker:  sla.NewTracker(app.SLA),
+		classes:  classes,
+		index:    index,
+		health:   make(map[*Replica]*replicaHealth),
+		observer: obs.Nop{},
 	}, nil
 }
 
@@ -191,6 +219,16 @@ func (s *Scheduler) SetAsyncReplication(lag float64) {
 // admits everything, exactly as before the layer existed.
 func (s *Scheduler) SetAdmission(a *admission.Controller) {
 	s.admission = a
+	for i := range s.classes {
+		c := &s.classes[i]
+		c.adm = nil
+		if a != nil {
+			c.adm = a.Class(c.spec.ID)
+		}
+	}
+	for _, st := range s.states {
+		st.queue = nil
+	}
 	// Attachment order is free (the tools set the tracer at registration,
 	// the scenarios attach admission later), so propagate in both
 	// directions: here and in SetTracer.
@@ -226,14 +264,33 @@ func (s *Scheduler) Replicas() []*Replica { return s.replicas }
 // WriteSeq returns the global write sequence number issued so far.
 func (s *Scheduler) WriteSeq() int64 { return s.writeSeq }
 
-// spec returns the catalog entry for id.
-func (s *Scheduler) spec(id metrics.ClassID) (engine.ClassSpec, bool) {
-	for _, sp := range s.app.Classes {
-		if sp.ID == id {
-			return sp, true
+// AppliedSeq reports the last write sequence of the scheduler's
+// application applied on r (zero when r is not attached).
+func (s *Scheduler) AppliedSeq(r *Replica) int64 {
+	if st := s.stateOf(r); st != nil {
+		return st.applied
+	}
+	return 0
+}
+
+// class returns the table entry for id.
+func (s *Scheduler) class(id metrics.ClassID) (*classState, bool) {
+	i, ok := s.index[id]
+	if !ok {
+		return nil, false
+	}
+	return &s.classes[i], true
+}
+
+// stateOf returns the scheduler's state for r, or nil when r is not
+// attached.
+func (s *Scheduler) stateOf(r *Replica) *replicaState {
+	for _, st := range s.states {
+		if st.r == r {
+			return st
 		}
 	}
-	return engine.ClassSpec{}, false
+	return nil
 }
 
 // AddReplica attaches r to the application, registering every query class
@@ -251,10 +308,11 @@ func (s *Scheduler) AddReplica(r *Replica) error {
 			return fmt.Errorf("cluster: registering %v on new replica: %w", spec.ID, err)
 		}
 	}
-	r.appliedSeq[s.app.Name] = s.writeSeq
+	st := &replicaState{r: r, applied: s.writeSeq}
 	s.replicas = append(s.replicas, r)
-	for _, spec := range s.app.Classes {
-		s.placement[spec.ID] = append(s.placement[spec.ID], r)
+	s.states = append(s.states, st)
+	for i := range s.classes {
+		s.classes[i].placement = append(s.classes[i].placement, st)
 	}
 	return nil
 }
@@ -276,25 +334,26 @@ func (s *Scheduler) RemoveReplica(r *Replica) error {
 	if len(s.replicas) == 1 {
 		return fmt.Errorf("cluster: cannot remove the last replica of %q", s.app.Name)
 	}
+	gone := s.states[idx]
 	s.replicas = append(s.replicas[:idx], s.replicas[idx+1:]...)
-	delete(s.freshAt, r)
-	for id, reps := range s.placement {
-		out := reps[:0]
-		for _, rep := range reps {
-			if rep != r {
-				out = append(out, rep)
+	s.states = append(s.states[:idx], s.states[idx+1:]...)
+	for i := range s.classes {
+		c := &s.classes[i]
+		out := c.placement[:0]
+		for _, st := range c.placement {
+			if st != gone {
+				out = append(out, st)
 			}
 		}
 		if len(out) == 0 {
-			out = append(out, s.replicas...)
-			spec, _ := s.spec(id)
+			out = append(out, s.states...)
 			for _, rep := range s.replicas {
-				if err := rep.eng.Register(spec); err != nil {
+				if err := rep.eng.Register(c.spec); err != nil {
 					return err
 				}
 			}
 		}
-		s.placement[id] = out
+		c.placement = out
 	}
 	for _, spec := range s.app.Classes {
 		r.eng.Deregister(spec.ID)
@@ -308,42 +367,35 @@ func (s *Scheduler) RemoveReplica(r *Replica) error {
 // primitive: the §3.3.2 retuning action "schedule a suspect query class
 // on a different replica" is PlaceClass with a different subset.
 func (s *Scheduler) PlaceClass(id metrics.ClassID, reps ...*Replica) error {
-	spec, ok := s.spec(id)
+	c, ok := s.class(id)
 	if !ok {
 		return fmt.Errorf("cluster: unknown class %v", id)
 	}
 	if len(reps) == 0 {
 		return fmt.Errorf("cluster: class %v needs at least one replica", id)
 	}
-	attached := func(r *Replica) bool {
-		for _, existing := range s.replicas {
-			if existing == r {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range reps {
-		if !attached(r) {
+	placement := make([]*replicaState, len(reps))
+	for i, r := range reps {
+		if placement[i] = s.stateOf(r); placement[i] == nil {
 			return fmt.Errorf("cluster: replica not attached to %q", s.app.Name)
 		}
 	}
 	serving := make(map[*Replica]bool, len(reps))
 	for _, r := range reps {
 		serving[r] = true
-		if err := r.eng.Register(spec); err != nil {
+		if err := r.eng.Register(c.spec); err != nil {
 			return err
 		}
 	}
-	for _, old := range s.placement[id] {
-		if !serving[old] && !spec.Write {
+	for _, old := range c.placement {
+		if !serving[old.r] && !c.spec.Write {
 			// Write classes stay registered everywhere (ROWA); read-only
 			// classes are removed from replicas that no longer serve them.
-			old.eng.Deregister(id)
+			old.r.eng.Deregister(id)
 		}
 	}
-	s.placement[id] = append([]*Replica(nil), reps...)
-	s.rr[id] = 0
+	c.placement = placement
+	c.rr = 0
 	return nil
 }
 
@@ -356,23 +408,19 @@ func (s *Scheduler) UpdateClass(spec engine.ClassSpec) error {
 	if spec.ID.App != s.app.Name {
 		return fmt.Errorf("cluster: class %v does not belong to %q", spec.ID, s.app.Name)
 	}
-	idx := -1
-	for i := range s.app.Classes {
-		if s.app.Classes[i].ID == spec.ID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	idx, ok := s.index[spec.ID]
+	if !ok {
 		return fmt.Errorf("cluster: unknown class %v", spec.ID)
 	}
 	s.app.Classes[idx] = spec
-	targets := s.placement[spec.ID]
+	c := &s.classes[idx]
+	c.spec = spec
+	targets := c.placement
 	if spec.Write {
-		targets = s.replicas
+		targets = s.states
 	}
-	for _, r := range targets {
-		if err := r.eng.Register(spec); err != nil {
+	for _, st := range targets {
+		if err := st.r.eng.Register(spec); err != nil {
 			return err
 		}
 	}
@@ -381,7 +429,15 @@ func (s *Scheduler) UpdateClass(spec engine.ClassSpec) error {
 
 // Placement returns the replicas currently serving class id.
 func (s *Scheduler) Placement(id metrics.ClassID) []*Replica {
-	return s.placement[id]
+	c, ok := s.class(id)
+	if !ok || c.placement == nil {
+		return nil
+	}
+	out := make([]*Replica, len(c.placement))
+	for i, st := range c.placement {
+		out[i] = st.r
+	}
+	return out
 }
 
 // Submit executes one query of class id arriving at virtual time now and
@@ -393,7 +449,7 @@ func (s *Scheduler) Placement(id metrics.ClassID) []*Replica {
 // replica is unresponsive. The query's latency feeds the
 // application-level SLA tracker.
 func (s *Scheduler) Submit(now float64, id metrics.ClassID) (done float64, err error) {
-	spec, ok := s.spec(id)
+	c, ok := s.class(id)
 	if !ok {
 		return now, fmt.Errorf("cluster: unknown class %v", id)
 	}
@@ -418,11 +474,11 @@ func (s *Scheduler) Submit(now float64, id metrics.ClassID) (done float64, err e
 	// tracker — shed load must not count against the latency agreement
 	// it exists to protect.
 	if s.admission != nil {
-		if err := s.admission.Admit(now, id); err != nil {
+		if err := s.admission.AdmitClass(now, c.adm); err != nil {
 			return now, err
 		}
 	}
-	if spec.Write {
+	if c.spec.Write {
 		s.writeSeq++
 		if s.asyncLag > 0 {
 			done, err = s.submitWriteAsync(now, id)
@@ -436,11 +492,10 @@ func (s *Scheduler) Submit(now float64, id metrics.ClassID) (done float64, err e
 			return now, err
 		}
 	} else {
-		reps := s.placement[id]
-		if len(reps) == 0 {
+		if len(c.placement) == 0 {
 			return now, fmt.Errorf("cluster: class %v has no placement", id)
 		}
-		done, err = s.submitRead(now, id, reps)
+		done, err = s.submitRead(now, id, c)
 		if err != nil {
 			return now, err
 		}
@@ -463,27 +518,21 @@ func (s *Scheduler) Submit(now float64, id metrics.ClassID) (done float64, err e
 // Writes deliberately bypass the per-replica queues: read-one-write-all
 // must reach every replica or none, so writes are governed by the entry
 // gate alone.
-func (s *Scheduler) submitRead(now float64, id metrics.ClassID, reps []*Replica) (float64, error) {
+func (s *Scheduler) submitRead(now float64, id metrics.ClassID, c *classState) (float64, error) {
 	if s.hcfg.Enabled() {
-		return s.submitReadHealth(now, id, reps)
+		return s.submitReadHealth(now, id, c)
 	}
 	root := s.tracer.Current()
 	if root != nil {
 		defer s.tracer.SetCurrent(root)
 	}
-	var excluded map[*Replica]bool
+	var excluded []*replicaState
 	var lastErr error
 	var rejections int
 	var rejReason admission.Reason
-	exclude := func(r *Replica) {
-		if excluded == nil {
-			excluded = make(map[*Replica]bool, len(reps))
-		}
-		excluded[r] = true
-	}
 	for {
-		r, start := s.pickFreshReplica(now, reps, id, excluded)
-		if r == nil {
+		st, start := s.pickFreshReplica(now, c, excluded)
+		if st == nil {
 			if rejections > 0 {
 				return now, s.admission.Reject(id, rejReason,
 					fmt.Sprintf("%d candidate replica(s) refused admission", rejections))
@@ -493,6 +542,7 @@ func (s *Scheduler) submitRead(now float64, id metrics.ClassID, reps []*Replica)
 			}
 			return now, fmt.Errorf("cluster: no consistent replica for read of %v", id)
 		}
+		r := st.r
 		var asp *obs.Span
 		if root != nil {
 			asp = root.Child(now, obs.SpanAttempt, r.srv.Name())
@@ -509,7 +559,7 @@ func (s *Scheduler) submitRead(now float64, id metrics.ClassID, reps []*Replica)
 			// recent latency on this engine.
 			est := (start - now) + r.srv.CPUQueueDelay(start) +
 				r.srv.Disk().QueueDelay(start) + r.eng.LatencyEstimate(id)
-			if reason := s.admission.TryEnqueue(r.srv.Name(), start, est); reason != "" {
+			if reason := s.admission.TryEnqueue(&st.queue, r.srv.Name(), start, est); reason != "" {
 				rejections++
 				// Deadline rejection is the more specific diagnosis; it
 				// wins when candidates reject for mixed reasons.
@@ -520,10 +570,10 @@ func (s *Scheduler) submitRead(now float64, id metrics.ClassID, reps []*Replica)
 					asp.Fail(string(reason))
 					asp.Finish(start)
 				}
-				exclude(r)
+				excluded = append(excluded, st)
 				continue
 			}
-			q = s.admission.QueueFor(r.srv.Name())
+			q = st.queue
 		}
 		done, execErr := r.eng.Execute(start, id)
 		if execErr == nil {
@@ -544,7 +594,7 @@ func (s *Scheduler) submitRead(now float64, id metrics.ClassID, reps []*Replica)
 		}
 		// One replica's refusal is not the cluster's: fall through.
 		lastErr = execErr
-		exclude(r)
+		excluded = append(excluded, st)
 	}
 }
 
@@ -562,19 +612,20 @@ func (s *Scheduler) submitRead(now float64, id metrics.ClassID, reps []*Replica)
 // anything while another replica is left to try, so with nowhere to go
 // it waits the query out instead of surfacing a latency blip as an
 // error.
-func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, reps []*Replica) (float64, error) {
+func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, c *classState) (float64, error) {
 	root := s.tracer.Current()
 	if root != nil {
 		defer s.tracer.SetCurrent(root)
 	}
-	excluded := make(map[*Replica]bool, len(reps))
+	var excluded []*replicaState
 	arrive := now
 	var lastErr error
 	for attempt := 1; attempt <= s.hcfg.MaxRetries; attempt++ {
-		r, start := s.pickFreshReplica(arrive, reps, id, excluded)
-		if r == nil {
+		st, start := s.pickFreshReplica(arrive, c, excluded)
+		if st == nil {
 			break
 		}
+		r := st.r
 		var asp *obs.Span
 		if root != nil {
 			asp = root.Child(arrive, obs.SpanAttempt, r.srv.Name())
@@ -614,7 +665,7 @@ func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, reps []*Re
 				}
 			}
 		}
-		excluded[r] = true
+		excluded = append(excluded, st)
 		backoff := s.retryBackoff(attempt)
 		if s.observing {
 			s.observer.Event(obs.Event{
@@ -637,12 +688,13 @@ func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, reps []*Re
 	// completion is delivered to the client — it still counts as a
 	// timeout for the detector. Only a cluster with no live consistent
 	// replica surfaces an error.
-	patientExcluded := make(map[*Replica]bool, len(reps))
+	var patientExcluded []*replicaState
 	for {
-		r, start := s.pickFreshReplica(arrive, reps, id, patientExcluded)
-		if r == nil {
+		st, start := s.pickFreshReplica(arrive, c, patientExcluded)
+		if st == nil {
 			break
 		}
+		r := st.r
 		var asp *obs.Span
 		if root != nil {
 			asp = root.Child(arrive, obs.SpanAttempt, r.srv.Name()+" (patient)")
@@ -656,7 +708,7 @@ func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, reps []*Re
 				asp.Fail("replica unresponsive")
 				asp.Finish(deadline)
 			}
-			patientExcluded[r] = true
+			patientExcluded = append(patientExcluded, st)
 			arrive = deadline
 			continue
 		}
@@ -668,7 +720,7 @@ func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, reps []*Re
 				asp.Fail(execErr.Error())
 				asp.Finish(start)
 			}
-			patientExcluded[r] = true
+			patientExcluded = append(patientExcluded, st)
 			arrive = start
 			continue
 		}
@@ -711,8 +763,10 @@ func (s *Scheduler) MarkFailed(r *Replica) {
 // detector state for the replica is cleared.
 func (s *Scheduler) MarkRecovered(r *Replica) {
 	r.failed = false
-	r.appliedSeq[s.app.Name] = s.writeSeq
-	delete(s.freshAt, r)
+	if st := s.stateOf(r); st != nil {
+		st.applied = s.writeSeq
+		st.freshAt = 0
+	}
 	s.resetHealth(r)
 	if s.observing {
 		s.observer.Event(obs.Event{
@@ -724,11 +778,11 @@ func (s *Scheduler) MarkRecovered(r *Replica) {
 }
 
 // live filters out failed replicas.
-func live(reps []*Replica) []*Replica {
-	out := make([]*Replica, 0, len(reps))
-	for _, r := range reps {
-		if !r.failed {
-			out = append(out, r)
+func live(reps []*replicaState) []*replicaState {
+	out := make([]*replicaState, 0, len(reps))
+	for _, st := range reps {
+		if !st.r.failed {
+			out = append(out, st)
 		}
 	}
 	return out
@@ -741,7 +795,7 @@ func live(reps []*Replica) []*Replica {
 // until every replica has executed, so a partial failure aborts cleanly
 // instead of diverging the replica set.
 func (s *Scheduler) submitWriteSync(now float64, id metrics.ClassID) (done float64, err error) {
-	reps := live(s.replicas)
+	reps := live(s.states)
 	if len(reps) == 0 {
 		return now, fmt.Errorf("cluster: application %q has no live replicas", s.app.Name)
 	}
@@ -753,7 +807,8 @@ func (s *Scheduler) submitWriteSync(now float64, id metrics.ClassID) (done float
 		defer s.tracer.SetCurrent(root)
 	}
 	done = now
-	for _, r := range reps {
+	for _, st := range reps {
+		r := st.r
 		var asp *obs.Span
 		if root != nil {
 			asp = root.Child(now, obs.SpanAttempt, r.srv.Name())
@@ -773,8 +828,8 @@ func (s *Scheduler) submitWriteSync(now float64, id metrics.ClassID) (done float
 			done = d
 		}
 	}
-	for _, r := range reps {
-		r.appliedSeq[s.app.Name] = s.writeSeq
+	for _, st := range reps {
+		st.applied = s.writeSeq
 	}
 	return done, nil
 }
@@ -786,13 +841,13 @@ func (s *Scheduler) submitWriteSync(now float64, id metrics.ClassID) (done float
 // past the deadline still applies the write — the client just stops
 // waiting for it. A definite engine error still aborts atomically; the
 // write only errors out when it reached no replica at all.
-func (s *Scheduler) submitWriteSyncHealth(now float64, id metrics.ClassID, reps []*Replica) (float64, error) {
+func (s *Scheduler) submitWriteSyncHealth(now float64, id metrics.ClassID, reps []*replicaState) (float64, error) {
 	deadline := now + s.hcfg.QueryDeadline
 	done := now
-	targets := make([]*Replica, 0, len(reps))
-	for _, r := range reps {
-		if s.admitted(now, r) {
-			targets = append(targets, r)
+	targets := make([]*replicaState, 0, len(reps))
+	for _, st := range reps {
+		if s.admitted(now, st) {
+			targets = append(targets, st)
 		}
 	}
 	if len(targets) == 0 {
@@ -806,8 +861,9 @@ func (s *Scheduler) submitWriteSyncHealth(now float64, id metrics.ClassID, reps 
 	if root != nil {
 		defer s.tracer.SetCurrent(root)
 	}
-	applied := make([]*Replica, 0, len(targets))
-	for _, r := range targets {
+	applied := make([]*replicaState, 0, len(targets))
+	for _, st := range targets {
+		r := st.r
 		var asp *obs.Span
 		if root != nil {
 			asp = root.Child(now, obs.SpanAttempt, r.srv.Name())
@@ -833,7 +889,7 @@ func (s *Scheduler) submitWriteSyncHealth(now float64, id metrics.ClassID, reps 
 			}
 			return now, execErr
 		}
-		applied = append(applied, r)
+		applied = append(applied, st)
 		if d > deadline {
 			s.recordTimeout(deadline, r, "write exceeded deadline")
 			asp.Fail("exceeded deadline")
@@ -850,8 +906,8 @@ func (s *Scheduler) submitWriteSyncHealth(now float64, id metrics.ClassID, reps 
 	if len(applied) == 0 {
 		return now, fmt.Errorf("cluster: write of %v reached no replica", id)
 	}
-	for _, r := range applied {
-		r.appliedSeq[s.app.Name] = s.writeSeq
+	for _, st := range applied {
+		st.applied = s.writeSeq
 	}
 	return done, nil
 }
@@ -862,7 +918,7 @@ func (s *Scheduler) submitWriteSyncHealth(now float64, id metrics.ClassID, reps 
 // path, no appliedSeq or freshness horizon advances until every replica
 // has executed, so a partial failure aborts without divergence.
 func (s *Scheduler) submitWriteAsync(now float64, id metrics.ClassID) (done float64, err error) {
-	reps := live(s.replicas)
+	reps := live(s.states)
 	if len(reps) == 0 {
 		return now, fmt.Errorf("cluster: application %q has no live replicas", s.app.Name)
 	}
@@ -870,7 +926,8 @@ func (s *Scheduler) submitWriteAsync(now float64, id metrics.ClassID) (done floa
 	if root != nil {
 		defer s.tracer.SetCurrent(root)
 	}
-	primary := reps[int(s.writeSeq)%len(reps)]
+	pi := int(s.writeSeq) % len(reps)
+	primary := reps[pi].r
 	var asp *obs.Span
 	if root != nil {
 		asp = root.Child(now, obs.SpanAttempt, primary.srv.Name())
@@ -886,11 +943,13 @@ func (s *Scheduler) submitWriteAsync(now float64, id metrics.ClassID) (done floa
 		return now, err
 	}
 	asp.Finish(done)
-	appliedAt := map[*Replica]float64{primary: done}
-	for _, r := range reps {
-		if r == primary {
+	appliedAt := make([]float64, len(reps))
+	appliedAt[pi] = done
+	for i, st := range reps {
+		if i == pi {
 			continue
 		}
+		r := st.r
 		applyAt := now + s.asyncLag
 		// Lagged apply: these attempt spans may extend past the root's
 		// end — the client completed at the primary; consumers clip to
@@ -910,12 +969,12 @@ func (s *Scheduler) submitWriteAsync(now float64, id metrics.ClassID) (done floa
 			return now, execErr
 		}
 		lsp.Finish(d)
-		appliedAt[r] = d
+		appliedAt[i] = d
 	}
-	for r, d := range appliedAt {
-		r.appliedSeq[s.app.Name] = s.writeSeq
-		if d > s.freshAt[r] {
-			s.freshAt[r] = d
+	for i, st := range reps {
+		st.applied = s.writeSeq
+		if d := appliedAt[i]; d > st.freshAt {
+			st.freshAt = d
 		}
 	}
 	return done, nil
@@ -932,38 +991,40 @@ func (s *Scheduler) submitWriteAsync(now float64, id metrics.ClassID) (done floa
 // every consistent candidate's breaker is open the picker fails open and
 // routes anyway — with nowhere healthy left to send the query, refusing
 // it would turn a detector artifact into a client error.
-func (s *Scheduler) pickFreshReplica(now float64, reps []*Replica, id metrics.ClassID, excluded map[*Replica]bool) (*Replica, float64) {
-	if r, start := s.pickReplica(now, reps, id, excluded, false); r != nil {
-		return r, start
+func (s *Scheduler) pickFreshReplica(now float64, c *classState, excluded []*replicaState) (*replicaState, float64) {
+	if st, start := s.pickReplica(now, c, excluded, false); st != nil {
+		return st, start
 	}
 	if !s.hcfg.Enabled() {
 		return nil, 0
 	}
-	return s.pickReplica(now, reps, id, excluded, true)
+	return s.pickReplica(now, c, excluded, true)
 }
 
-func (s *Scheduler) pickReplica(now float64, reps []*Replica, id metrics.ClassID, excluded map[*Replica]bool, failOpen bool) (*Replica, float64) {
+func (s *Scheduler) pickReplica(now float64, c *classState, excluded []*replicaState, failOpen bool) (*replicaState, float64) {
+	reps := c.placement
 	n := len(reps)
-	var soonest, best *Replica
+	var soonest, best *replicaState
 	soonestAt, bestLoad := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		r := reps[(s.rr[id]+i)%n]
-		if r.failed || excluded[r] {
+		st := reps[(c.rr+i)%n]
+		if st.r.failed || slices.Contains(excluded, st) {
 			continue
 		}
-		if !failOpen && !s.admitted(now, r) {
+		if !failOpen && !s.admitted(now, st) {
 			continue
 		}
-		behind := r.appliedSeq[s.app.Name] != s.writeSeq
-		fresh := s.freshAt[r]
+		behind := st.applied != s.writeSeq
+		fresh := st.freshAt
 		if !behind && fresh <= now {
 			if s.balancer == RoundRobin {
-				s.rr[id] += i + 1
-				return r, now
+				c.rr += i + 1
+				return st, now
 			}
-			load := r.srv.CPUQueueDelay(now) + r.srv.Disk().QueueDelay(now)
+			srv := st.r.srv
+			load := srv.CPUQueueDelay(now) + srv.Disk().QueueDelay(now)
 			if best == nil || load < bestLoad {
-				best = r
+				best = st
 				bestLoad = load
 			}
 			continue
@@ -972,18 +1033,18 @@ func (s *Scheduler) pickReplica(now float64, reps []*Replica, id metrics.ClassID
 			continue
 		}
 		if soonest == nil || fresh < soonestAt {
-			soonest = r
+			soonest = st
 			soonestAt = fresh
 		}
 	}
 	if best != nil {
-		s.rr[id]++
+		c.rr++
 		return best, now
 	}
 	if soonest == nil {
 		return nil, 0
 	}
-	s.rr[id]++
+	c.rr++
 	return soonest, soonestAt
 }
 
@@ -994,16 +1055,17 @@ func (s *Scheduler) pickReplica(now float64, reps []*Replica, id metrics.ClassID
 // brought up to date by state transfer at recovery or probe time, and
 // reads already avoid them via the applied-sequence check.
 func (s *Scheduler) ConsistencyCheck() error {
-	for _, r := range live(s.replicas) {
+	for _, st := range live(s.states) {
+		r := st.r
 		if r.down {
 			continue
 		}
 		if h := s.health[r]; h != nil && (h.state == HealthFailed || h.state == HealthSuspected) {
 			continue
 		}
-		if got := r.appliedSeq[s.app.Name]; got != s.writeSeq {
+		if st.applied != s.writeSeq {
 			return fmt.Errorf("cluster: replica on %q applied %d writes, scheduler issued %d",
-				r.srv.Name(), got, s.writeSeq)
+				r.srv.Name(), st.applied, s.writeSeq)
 		}
 	}
 	return nil
@@ -1012,16 +1074,18 @@ func (s *Scheduler) ConsistencyCheck() error {
 // PlacementSummary renders the placement as "class → server,server" lines
 // sorted by class, for reports.
 func (s *Scheduler) PlacementSummary() []string {
-	ids := make([]metrics.ClassID, 0, len(s.placement))
-	for id := range s.placement {
-		ids = append(ids, id)
+	placed := make([]*classState, 0, len(s.classes))
+	for i := range s.classes {
+		if len(s.classes[i].placement) > 0 {
+			placed = append(placed, &s.classes[i])
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Class < ids[j].Class })
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		line := id.Class + " →"
-		for _, r := range s.placement[id] {
-			line += " " + r.srv.Name()
+	sort.Slice(placed, func(i, j int) bool { return placed[i].spec.ID.Class < placed[j].spec.ID.Class })
+	out := make([]string, 0, len(placed))
+	for _, c := range placed {
+		line := c.spec.ID.Class + " →"
+		for _, st := range c.placement {
+			line += " " + st.r.srv.Name()
 		}
 		out = append(out, line)
 	}

@@ -39,10 +39,15 @@ func newServer(name string) *server.Server {
 
 func newReplica(t *testing.T, name string) *Replica {
 	t.Helper()
+	return newReplicaTB(t, name)
+}
+
+func newReplicaTB(tb testing.TB, name string) *Replica {
+	tb.Helper()
 	srv := newServer(name)
 	eng, err := engine.New(engine.Config{Name: "eng-" + name, Pool: bufferpool.Config{Capacity: 5000}}, srv)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return NewReplica(eng, srv)
 }
@@ -142,7 +147,7 @@ func TestWritesGoToAllReplicas(t *testing.T) {
 		t.Fatalf("write seq = %d, want 5", s.WriteSeq())
 	}
 	for _, r := range []*Replica{r1, r2} {
-		if got := r.AppliedSeq("shop"); got != 5 {
+		if got := s.AppliedSeq(r); got != 5 {
 			t.Fatalf("replica applied %d writes, want 5", got)
 		}
 	}

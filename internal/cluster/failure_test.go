@@ -28,7 +28,7 @@ func TestWritesSkipFailedReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := r2.AppliedSeq("shop"); got != 0 {
+	if got := s.AppliedSeq(r2); got != 0 {
 		t.Fatalf("failed replica applied %d writes", got)
 	}
 	// Live replicas stay consistent.

@@ -220,10 +220,11 @@ func (s *Scheduler) emitHealth(now float64, kind obs.EventKind, r *Replica, caus
 // admitted reports whether the detector currently routes traffic to r,
 // promoting an open breaker to probation (with state transfer) when its
 // probe time has arrived.
-func (s *Scheduler) admitted(now float64, r *Replica) bool {
+func (s *Scheduler) admitted(now float64, st *replicaState) bool {
 	if !s.hcfg.Enabled() {
 		return true
 	}
+	r := st.r
 	h := s.health[r]
 	if h == nil || h.state != HealthFailed {
 		return true
@@ -234,8 +235,8 @@ func (s *Scheduler) admitted(now float64, r *Replica) bool {
 	// Half-open: recovery performs state transfer from a live replica, so
 	// the probation replica is up to date and may serve reads.
 	h.state = HealthProbation
-	r.appliedSeq[s.app.Name] = s.writeSeq
-	delete(s.freshAt, r)
+	st.applied = s.writeSeq
+	st.freshAt = 0
 	s.emitHealth(now, obs.EventBreakerProbe, r,
 		fmt.Sprintf("breaker half-open after %.1fs; probing", h.cooldown), nil)
 	return true

@@ -256,7 +256,7 @@ func TestWriteTimeoutsDetectDownReplica(t *testing.T) {
 	if err := s.ConsistencyCheck(); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.AppliedSeq("shop"); got != s.WriteSeq() {
+	if got := s.AppliedSeq(r2); got != s.WriteSeq() {
 		t.Fatalf("recovered replica applied %d of %d writes", got, s.WriteSeq())
 	}
 }
@@ -343,7 +343,7 @@ func TestAtomicWriteAbortsCleanlyOnPartialFailure(t *testing.T) {
 	if s.WriteSeq() != 0 {
 		t.Fatalf("write seq = %d after aborted write, want 0", s.WriteSeq())
 	}
-	if got := r1.AppliedSeq("shop"); got != 0 {
+	if got := s.AppliedSeq(r1); got != 0 {
 		t.Fatalf("first replica applied %d writes from an aborted write", got)
 	}
 	if err := s.ConsistencyCheck(); err != nil {
@@ -363,11 +363,13 @@ func TestAtomicAsyncWriteAbortsCleanly(t *testing.T) {
 	if s.WriteSeq() != 0 {
 		t.Fatalf("write seq = %d after aborted write, want 0", s.WriteSeq())
 	}
-	if got := r2.AppliedSeq("shop"); got != 0 {
+	if got := s.AppliedSeq(r2); got != 0 {
 		t.Fatalf("primary applied %d writes from an aborted write", got)
 	}
-	if len(s.freshAt) != 0 {
-		t.Fatal("aborted async write moved a freshness horizon")
+	for _, st := range s.states {
+		if st.freshAt != 0 {
+			t.Fatal("aborted async write moved a freshness horizon")
+		}
 	}
 }
 

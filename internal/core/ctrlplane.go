@@ -190,7 +190,7 @@ type pendingAction struct {
 	app      string
 	label    string
 	attempts int
-	timer    *sim.Event
+	timer    sim.Event
 	apply    func() any
 	finish   func(at float64, res any)
 	span     *obs.Span
@@ -461,9 +461,7 @@ func (cp *ControlPlane) abandon(p *pendingAction, cause string) {
 		return
 	}
 	p.done = true
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
+	p.timer.Cancel()
 	delete(cp.pending, p.id)
 	cp.abandoned++
 	now := cp.sim.Now().Seconds()
@@ -596,9 +594,7 @@ func (cp *ControlPlane) onActionAck(m actionAck) {
 		return // duplicate or late ack for a finished/abandoned action
 	}
 	p.done = true
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
+	p.timer.Cancel()
 	delete(cp.pending, m.id)
 	trueNow := cp.sim.Now().Seconds()
 	if p.span != nil {

@@ -89,7 +89,7 @@ type linkKey struct{ from, to string }
 // inflight is one scheduled delivery, tracked so a partition can cancel
 // it. Entries are removed when the delivery fires.
 type inflight struct {
-	ev   *sim.Event
+	ev   sim.Event
 	done bool
 }
 

@@ -62,18 +62,6 @@ type ClassSpec struct {
 	// LockHold is how long a write class holds its exclusive lock, in
 	// seconds. Ignored for read classes.
 	LockHold float64
-
-	// slot is the class's dense accumulation index in the engine's
-	// collector, resolved once at Register time so the per-record hot
-	// path indexes a slice instead of hashing the ClassID. Engine-owned;
-	// zero until Register.
-	slot metrics.Slot
-	// key is ID.String(), the class's name in the buffer pool and lock
-	// manager, built once at Register time rather than per query.
-	key string
-	// pool is the class's buffer-pool handle, resolved once at Register
-	// time so a page access makes no lookup by name.
-	pool *bufferpool.Class
 }
 
 func (s *ClassSpec) validate() error {
@@ -117,20 +105,20 @@ type Engine struct {
 	locks     *lockmgr.Manager
 	collector *metrics.Collector
 	logbuf    *metrics.LogBuffer
-	classes   map[metrics.ClassID]*ClassSpec
-	windows   map[metrics.ClassID]*metrics.AccessWindow
+	// classes holds every class ever registered. Entries are never
+	// removed: Deregister only clears registered, so a class's slot,
+	// window and latency estimate survive a later re-Register.
+	classes map[metrics.ClassID]*classState
+	// last is the entry the latest LatencyEstimate or Execute resolved.
+	// The scheduler asks for a class's estimate and then executes the
+	// same class, so the second call skips the map.
+	last *classState
 
 	// Per-execution scratch used by the pool's miss hook.
 	curNow    float64
 	curIODone float64
 	curClass  metrics.ClassID
 	curSlot   metrics.Slot
-
-	// latEst is the per-class EWMA of observed query latency, the
-	// service-time estimate behind admission control's deadline-aware
-	// early rejection. Single-owner: updated only by Execute on the
-	// query thread.
-	latEst map[metrics.ClassID]float64
 
 	// tracer, when non-nil, lets Execute attach service-phase spans
 	// (exec/cpu/disk/lock-wait, pool hit/miss counts) under the query's
@@ -152,6 +140,30 @@ type Engine struct {
 	report    *ReportFault
 	frozenVec map[metrics.ClassID]metrics.Vector
 	frozenSts map[metrics.ClassID]metrics.ClassStats
+}
+
+// classState is everything the engine keeps per query class, resolved
+// once at Register so a query makes one lookup by ClassID.
+type classState struct {
+	spec       ClassSpec
+	registered bool
+	// slot is the class's dense accumulation index in the engine's
+	// collector, so the per-record hot path indexes a slice instead of
+	// hashing the ClassID.
+	slot metrics.Slot
+	// key is spec.ID.String(), the class's name in the buffer pool and
+	// lock manager.
+	key string
+	// pool is the class's buffer-pool handle, so a page access makes no
+	// lookup by name.
+	pool *bufferpool.Class
+	// win is the class's window of recent page accesses.
+	win *metrics.AccessWindow
+	// latEst is the EWMA of observed query latency, the service-time
+	// estimate behind admission control's deadline-aware early
+	// rejection; latSeen is false until the first execution.
+	latEst  float64
+	latSeen bool
 }
 
 // ReportFault is a snapshot-corruption fault: the engine executes
@@ -201,9 +213,7 @@ func New(cfg Config, host Host) (*Engine, error) {
 		pool:      pool,
 		locks:     lockmgr.New(),
 		collector: metrics.NewCollector(),
-		windows:   make(map[metrics.ClassID]*metrics.AccessWindow),
-		classes:   make(map[metrics.ClassID]*ClassSpec),
-		latEst:    make(map[metrics.ClassID]float64),
+		classes:   make(map[metrics.ClassID]*classState),
 	}
 	e.logbuf = metrics.NewLogBuffer(logBufferSize, metrics.Drain(e.collector))
 	e.phaseQ = simcore.NewQueue()
@@ -283,13 +293,16 @@ func (e *Engine) Register(spec ClassSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	spec.slot = e.collector.SlotFor(spec.ID)
-	spec.key = spec.ID.String()
-	spec.pool = e.pool.Class(spec.key)
-	e.classes[spec.ID] = &spec
-	if _, ok := e.windows[spec.ID]; !ok {
-		e.windows[spec.ID] = metrics.NewAccessWindow(e.cfg.WindowSize)
+	c := e.classes[spec.ID]
+	if c == nil {
+		c = &classState{win: metrics.NewAccessWindow(e.cfg.WindowSize)}
+		e.classes[spec.ID] = c
 	}
+	c.spec = spec
+	c.registered = true
+	c.slot = e.collector.SlotFor(spec.ID)
+	c.key = spec.ID.String()
+	c.pool = e.pool.Class(c.key)
 	return nil
 }
 
@@ -297,13 +310,29 @@ func (e *Engine) Register(spec ClassSpec) error {
 // different replica). Its statistics and access window are retained for
 // post-mortem analysis until the next snapshot.
 func (e *Engine) Deregister(id metrics.ClassID) {
-	delete(e.classes, id)
+	if c := e.classes[id]; c != nil {
+		c.registered = false
+	}
+}
+
+// resolve returns id's entry, or nil when id was never registered.
+func (e *Engine) resolve(id metrics.ClassID) *classState {
+	if c := e.last; c != nil && c.spec.ID == id {
+		return c
+	}
+	c := e.classes[id]
+	if c != nil {
+		e.last = c
+	}
+	return c
 }
 
 // Class returns the registered spec for id.
 func (e *Engine) Class(id metrics.ClassID) (*ClassSpec, bool) {
-	s, ok := e.classes[id]
-	return s, ok
+	if c := e.classes[id]; c != nil && c.registered {
+		return &c.spec, true
+	}
+	return nil, false
 }
 
 // Classes lists registered class identifiers sorted by ID.String().
@@ -311,8 +340,10 @@ func (e *Engine) Class(id metrics.ClassID) (*ClassSpec, bool) {
 // stream breaks ties by list position, so it must not follow map order.
 func (e *Engine) Classes() []metrics.ClassID {
 	out := make([]metrics.ClassID, 0, len(e.classes))
-	for id := range e.classes {
-		out = append(out, id)
+	for id, c := range e.classes {
+		if c.registered {
+			out = append(out, id)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return e.classes[out[i]].key < e.classes[out[j]].key })
 	return out
@@ -323,12 +354,13 @@ func (e *Engine) Classes() []metrics.ClassID {
 // CPU completion and I/O completion, both of which queue behind other
 // work on the host.
 func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err error) {
-	spec, ok := e.classes[id]
-	if !ok {
+	c := e.resolve(id)
+	if c == nil || !c.registered {
 		return now, fmt.Errorf("engine %q: query class %v not registered", e.cfg.Name, id)
 	}
-	key := spec.key
-	win := e.windows[id]
+	spec := &c.spec
+	key := c.key
+	win := c.win
 
 	// Service-phase span, nested under the scheduler's current span
 	// (the active attempt). sp stays nil on every untraced query, so the
@@ -352,20 +384,20 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 			start = e.locks.WaitShared(now, key, spec.LockTable)
 		}
 		if wait := start - now; wait > 0 {
-			e.logbuf.Append(metrics.Record{Kind: metrics.RecLockWait, Class: id, Slot: spec.slot, Value: wait})
+			e.logbuf.Append(metrics.Record{Kind: metrics.RecLockWait, Class: id, Slot: c.slot, Value: wait})
 		}
 	}
 
-	e.curNow, e.curIODone, e.curClass, e.curSlot = start, start, id, spec.slot
+	e.curNow, e.curIODone, e.curClass, e.curSlot = start, start, id, c.slot
 	prefetched := 0
 	hits := 0
 	for i := 0; i < spec.PagesPerQuery; i++ {
 		pg := spec.Pattern.Next()
 		var res bufferpool.AccessResult
 		if spec.Write {
-			res = e.pool.Write(spec.pool, pg)
+			res = e.pool.Write(c.pool, pg)
 		} else {
-			res = e.pool.Access(spec.pool, pg)
+			res = e.pool.Access(c.pool, pg)
 		}
 		win.Add(pg)
 		if res.Hit {
@@ -376,13 +408,13 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 	// The page stream reaches the MRC through the access window; the
 	// log carries only the query's access and miss counts (§4).
 	if spec.PagesPerQuery > 0 {
-		e.logbuf.Append(metrics.Record{Kind: metrics.RecAccess, Class: id, Slot: spec.slot, Value: float64(spec.PagesPerQuery)})
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecAccess, Class: id, Slot: c.slot, Value: float64(spec.PagesPerQuery)})
 		if misses := spec.PagesPerQuery - hits; misses > 0 {
-			e.logbuf.Append(metrics.Record{Kind: metrics.RecMiss, Class: id, Slot: spec.slot, Value: float64(misses)})
+			e.logbuf.Append(metrics.Record{Kind: metrics.RecMiss, Class: id, Slot: c.slot, Value: float64(misses)})
 		}
 	}
 	if prefetched > 0 {
-		e.logbuf.Append(metrics.Record{Kind: metrics.RecReadAhead, Class: id, Slot: spec.slot, Value: float64(prefetched)})
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecReadAhead, Class: id, Slot: c.slot, Value: float64(prefetched)})
 	}
 
 	cpuWork := spec.CPUPerQuery + float64(spec.PagesPerQuery)*spec.CPUPerPage
@@ -396,8 +428,8 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 		}
 		sp.Finish(done)
 	}
-	e.logbuf.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Slot: spec.slot, Value: done - now})
-	e.updateLatencyEstimate(id, done-now)
+	e.logbuf.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Slot: c.slot, Value: done - now})
+	c.observeLatency(done - now)
 	return done, nil
 }
 
@@ -459,11 +491,11 @@ func (e *Engine) PhaseEventStats() simcore.Stats {
 // tracks load swings quickly without flapping on a single slow query.
 const latencyEWMAAlpha = 0.2
 
-func (e *Engine) updateLatencyEstimate(id metrics.ClassID, lat float64) {
-	if prev, ok := e.latEst[id]; ok {
-		e.latEst[id] = prev + latencyEWMAAlpha*(lat-prev)
+func (c *classState) observeLatency(lat float64) {
+	if c.latSeen {
+		c.latEst += latencyEWMAAlpha * (lat - c.latEst)
 	} else {
-		e.latEst[id] = lat
+		c.latEst, c.latSeen = lat, true
 	}
 }
 
@@ -472,7 +504,10 @@ func (e *Engine) updateLatencyEstimate(id metrics.ClassID, lat float64) {
 // it, plus the host's instantaneous backlog, to predict whether a new
 // query can finish inside its deadline.
 func (e *Engine) LatencyEstimate(id metrics.ClassID) float64 {
-	return e.latEst[id]
+	if c := e.resolve(id); c != nil {
+		return c.latEst
+	}
+	return 0
 }
 
 // Locks exposes the engine's lock manager (for contention diagnosis).
@@ -556,8 +591,8 @@ func (e *Engine) SnapshotStats(interval float64) map[metrics.ClassID]metrics.Cla
 // first). MRC recomputation reads only the tail it needs, through
 // AppendWindow.
 func (e *Engine) Window(id metrics.ClassID) []uint64 {
-	if w := e.windows[id]; w != nil {
-		return w.Snapshot()
+	if c := e.classes[id]; c != nil {
+		return c.win.Snapshot()
 	}
 	return nil
 }
@@ -566,8 +601,8 @@ func (e *Engine) Window(id metrics.ClassID) []uint64 {
 // (fewer when its window holds fewer), oldest first, to dst and returns
 // the extended slice.
 func (e *Engine) AppendWindow(dst []uint64, id metrics.ClassID, n int) []uint64 {
-	if w := e.windows[id]; w != nil {
-		return w.AppendTail(dst, n)
+	if c := e.classes[id]; c != nil {
+		return c.win.AppendTail(dst, n)
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -28,7 +29,11 @@ func NewHistogram() *Histogram {
 	return &Histogram{counts: make([]int64, histBucket), min: math.Inf(1)}
 }
 
-func bucketOf(v float64) int {
+// bucketOfLog is the defining formula of a sample's bucket. It is
+// evaluated only at start-up, to find bucketFloors, and by the test that
+// holds bucketOf to it. Like bucketOf it expects a non-NaN sample; it is
+// not defined from about 1.8e304 up, where v/histMin overflows.
+func bucketOfLog(v float64) int {
 	if v <= histMin {
 		return 0
 	}
@@ -39,14 +44,57 @@ func bucketOf(v float64) int {
 	return b
 }
 
+// bucketFloors[k-1] is the least float64 that bucketOfLog puts in
+// bucket k or above, for k = 1 … histBucket-1. Each is found by bisection
+// over the bit patterns of positive float64s, which order like the
+// values. The search range ends at 1e300, which bucketOfLog puts in the
+// top bucket.
+var bucketFloors = func() (f [histBucket - 1]float64) {
+	for k := range f {
+		lo, hi := math.Float64bits(histMin), math.Float64bits(1e300)
+		for lo+1 < hi { // invariant: bucket(lo) ≤ k < bucket(hi)
+			mid := lo + (hi-lo)/2
+			if bucketOfLog(math.Float64frombits(mid)) > k {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		f[k] = math.Float64frombits(hi)
+	}
+	return f
+}()
+
+// bucketOf returns v's bucket: the number of bucket floors at or below
+// v. It equals bucketOfLog wherever that is defined (TestBucketOfExact
+// checks every float64 close enough to a floor for rounding to matter,
+// and a sample of the rest), and puts +Inf and every finite value beyond
+// bucketOfLog's range in the top bucket.
+func bucketOf(v float64) int {
+	lo, hi := 0, len(bucketFloors)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if bucketFloors[m] <= v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // bucketUpper reports the upper bound of bucket b.
 func bucketUpper(b int) float64 {
 	return histMin * math.Pow(histBase, float64(b+1))
 }
 
 // Observe records one latency sample in seconds. Negative samples are
-// clamped to zero.
+// clamped to zero. A NaN sample panics: only a simulator bug produces
+// one, and it would poison the sum and the extremes.
 func (h *Histogram) Observe(v float64) {
+	if v != v {
+		panic(fmt.Sprintf("metrics: histogram observation is %v", v))
+	}
 	if v < 0 {
 		v = 0
 	}

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -115,4 +117,68 @@ func TestHistogramPercentilesOrderPreserved(t *testing.T) {
 	if !(ps[1] <= ps[2] && ps[2] <= ps[0]) {
 		t.Fatalf("percentiles out of order: %v", ps)
 	}
+}
+
+// TestBucketOfExact holds the table-driven bucketOf to the Log formula
+// it replaces, bucketOfLog. It compares the two on every float64 within
+// 2^16 ulps of each bucket floor and on 5M random values. That makes
+// them equal for every float64 the formula is defined on: 2^16 ulps is
+// a relative step of at least 2^-37, which moves the formula's real
+// value, ln(v/histMin)/ln(histBase), by at least 5e-11 bucket units,
+// while the formula's rounding error stays below 1e-13 of a unit. So
+// outside the checked bands the truncation cannot land on the other
+// side of an integer from the exact value, which is monotone.
+func TestBucketOfExact(t *testing.T) {
+	check := func(v float64) {
+		if got, want := bucketOf(v), bucketOfLog(v); got != want {
+			t.Fatalf("bucketOf(%v [%#x]) = %d, formula says %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	const band = 1 << 16
+	for k, f := range bucketFloors {
+		if k > 0 && f <= bucketFloors[k-1] {
+			t.Fatalf("floor %d (%v) not above floor %d (%v)", k, f, k-1, bucketFloors[k-1])
+		}
+		bits := math.Float64bits(f)
+		for d := uint64(0); d <= band; d++ {
+			check(math.Float64frombits(bits - d))
+			check(math.Float64frombits(bits + d))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	maxBits := math.Float64bits(1e304) // bucketOfLog overflows above ~1.8e304
+	for i := 0; i < 5_000_000; i++ {
+		switch i % 2 {
+		case 0: // any non-negative float64 the formula is defined on
+			check(math.Float64frombits(rng.Uint64() % maxBits))
+		default: // log-uniform over the latencies the simulator produces
+			check(math.Pow(10, rng.Float64()*10-6))
+		}
+	}
+	for _, v := range []float64{0, math.SmallestNonzeroFloat64, -1, math.Inf(-1), histMin, 1e300, 1e304} {
+		check(v)
+	}
+}
+
+// TestHistogramOverflowAndNaN: values past the formula's range land in
+// the top bucket like 1e300 does, and a NaN sample panics with a message
+// naming it instead of indexing out of range.
+func TestHistogramOverflowAndNaN(t *testing.T) {
+	h := NewHistogram()
+	for _, v := range []float64{1e300, 1.8e304, math.MaxFloat64, math.Inf(1)} {
+		if b := bucketOf(v); b != histBucket-1 {
+			t.Errorf("bucketOf(%v) = %d, want the top bucket %d", v, b, histBucket-1)
+		}
+		h.Observe(v)
+	}
+	if h.Count() != 4 || h.counts[histBucket-1] != 4 {
+		t.Fatalf("count %d, top bucket %d, want 4 and 4", h.Count(), h.counts[histBucket-1])
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "NaN") {
+			t.Fatalf("Observe(NaN) recovered %q, want a panic naming NaN", msg)
+		}
+	}()
+	h.Observe(math.NaN())
 }

@@ -45,8 +45,9 @@ func (t Time) String() string {
 	return fmt.Sprintf("%.3fs", float64(t))
 }
 
-// Event is a scheduled callback. The zero Event is invalid; events are
-// created through Engine.Schedule.
+// Event is a handle on a scheduled callback, returned by value so
+// scheduling allocates nothing. The zero Event is inert: Cancel does
+// nothing and At reports 0.
 type Event struct {
 	at    Time
 	timer simcore.Timer
@@ -56,14 +57,10 @@ type Event struct {
 // already-executed event is a no-op. Cancellation is lazy (a generation
 // bump, O(1)): the dead entry is discarded when it reaches the head of
 // the queue.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.timer.Cancel()
-	}
-}
+func (e Event) Cancel() { e.timer.Cancel() }
 
 // At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
+func (e Event) At() Time { return e.at }
 
 // Engine is a discrete-event simulation loop. The zero value is not ready
 // to use; construct engines with NewEngine.
@@ -86,38 +83,38 @@ func (e *Engine) RNG() *RNG { return e.rng }
 
 // Schedule runs fn after delay seconds of virtual time. A negative delay is
 // treated as zero. The returned event may be cancelled.
-func (e *Engine) Schedule(delay float64, fn func()) *Event {
+func (e *Engine) Schedule(delay float64, fn func()) Event {
 	return e.ScheduleKind(simcore.KindGeneric, delay, fn)
 }
 
 // ScheduleKind is Schedule with an explicit event kind, so arrivals,
 // interval ticks, faults and control actions are countable in the
 // queue's per-kind statistics.
-func (e *Engine) ScheduleKind(kind simcore.Kind, delay float64, fn func()) *Event {
+func (e *Engine) ScheduleKind(kind simcore.Kind, delay float64, fn func()) Event {
 	t := e.loop.Schedule(delay, kind, fn)
 	at := e.loop.Now()
 	if delay > 0 {
 		at += delay
 	}
-	return &Event{at: Time(at), timer: t}
+	return Event{at: Time(at), timer: t}
 }
 
 // ScheduleAt runs fn at absolute virtual time at. Times in the past are
 // clamped to now. The timestamp is used bit-exactly (no now+delta round
 // trip), so replaying a recorded event time reproduces the original
 // schedule to the last ulp.
-func (e *Engine) ScheduleAt(at Time, fn func()) *Event {
+func (e *Engine) ScheduleAt(at Time, fn func()) Event {
 	return e.ScheduleKindAt(simcore.KindGeneric, at, fn)
 }
 
 // ScheduleKindAt is ScheduleAt with an explicit event kind.
-func (e *Engine) ScheduleKindAt(kind simcore.Kind, at Time, fn func()) *Event {
+func (e *Engine) ScheduleKindAt(kind simcore.Kind, at Time, fn func()) Event {
 	t := e.loop.ScheduleAt(float64(at), kind, fn)
 	eventAt := at
 	if float64(at) < e.loop.Now() {
 		eventAt = Time(e.loop.Now())
 	}
-	return &Event{at: eventAt, timer: t}
+	return Event{at: eventAt, timer: t}
 }
 
 // Pending reports the number of events waiting to run (including cancelled

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"outlierlb/internal/sim"
 )
@@ -58,8 +59,13 @@ type UniformSet struct {
 	rng  *sim.RNG
 }
 
-// NewUniformSet returns a uniform generator over span pages.
+// NewUniformSet returns a uniform generator over span pages. A span
+// above math.MaxInt panics: Next draws through RNG.Intn, which takes an
+// int.
 func NewUniformSet(rng *sim.RNG, base, span uint64) *UniformSet {
+	if span > math.MaxInt {
+		panic(fmt.Sprintf("trace: uniform span %d exceeds math.MaxInt (%d)", span, math.MaxInt))
+	}
 	if span < 1 {
 		span = 1
 	}

@@ -146,6 +146,18 @@ func TestUniformSetRange(t *testing.T) {
 	}
 }
 
+// TestNewUniformSetRejectsHugeSpan: a span RNG.Intn cannot take panics
+// at construction with a message naming it, not at the first draw.
+func TestNewUniformSetRejectsHugeSpan(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "9223372036854775808") {
+			t.Fatalf("NewUniformSet(span 2^63) recovered %q, want a panic naming the span", msg)
+		}
+	}()
+	NewUniformSet(sim.NewRNG(1), 0, 1<<63)
+}
+
 func TestInterleaveWeights(t *testing.T) {
 	rng := sim.NewRNG(3)
 	a := &SequentialScan{Base: 0, Span: 1000}

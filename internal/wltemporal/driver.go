@@ -70,6 +70,9 @@ type cohortRun struct {
 	rng    *sim.RNG
 	stopAt float64
 	due    bool
+	// stepFn is c.step bound once, so scheduling an arrival allocates
+	// nothing.
+	stepFn func()
 }
 
 // NewDriver validates the cohorts and attaches a driver to a simulation
@@ -115,7 +118,9 @@ func NewDriver(eng *sim.Engine, sched *cluster.Scheduler, cohorts []Cohort, cfg 
 			return nil, fmt.Errorf("wltemporal: cohort %q stops at %v before it starts at %v",
 				c.Name, c.StopAt, c.StartAt)
 		}
-		d.cohorts = append(d.cohorts, &cohortRun{d: d, c: c, rng: eng.RNG().Fork(), stopAt: stopAt})
+		run := &cohortRun{d: d, c: c, rng: eng.RNG().Fork(), stopAt: stopAt}
+		run.stepFn = run.step
+		d.cohorts = append(d.cohorts, run)
 	}
 	return d, nil
 }
@@ -123,8 +128,7 @@ func NewDriver(eng *sim.Engine, sched *cluster.Scheduler, cohorts []Cohort, cfg 
 // Start schedules every cohort's first step at its StartAt.
 func (d *Driver) Start() {
 	for _, c := range d.cohorts {
-		c := c
-		d.eng.ScheduleKindAt(simcore.KindArrival, sim.Time(c.c.StartAt), c.step)
+		d.eng.ScheduleKindAt(simcore.KindArrival, sim.Time(c.c.StartAt), c.stepFn)
 	}
 }
 
@@ -161,7 +165,7 @@ func (c *cohortRun) step() {
 		delay = 1e-9
 	}
 	c.due = arrival
-	c.d.eng.ScheduleKind(simcore.KindArrival, delay, c.step)
+	c.d.eng.ScheduleKind(simcore.KindArrival, delay, c.stepFn)
 }
 
 func (c *cohortRun) submit(now float64) {

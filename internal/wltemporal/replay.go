@@ -26,6 +26,9 @@ type Replayer struct {
 	submit  SubmitFunc
 	next    int
 	stopped bool
+	// stepFn is r.step bound once, so scheduling an arrival allocates
+	// nothing.
+	stepFn func()
 
 	interactions int64
 	shed         int64
@@ -48,7 +51,9 @@ func NewReplayer(eng *sim.Engine, trace *Trace, submit SubmitFunc) (*Replayer, e
 	for range trace.Cohorts {
 		_ = eng.RNG().Fork()
 	}
-	return &Replayer{eng: eng, trace: trace, submit: submit}, nil
+	r := &Replayer{eng: eng, trace: trace, submit: submit}
+	r.stepFn = r.step
+	return r, nil
 }
 
 // Start schedules the first arrival. An empty trace is a no-op.
@@ -74,7 +79,7 @@ func (r *Replayer) scheduleNext() {
 		return
 	}
 	at := r.trace.Arrivals[r.next].T
-	r.eng.ScheduleKindAt(simcore.KindArrival, sim.Time(at), r.step)
+	r.eng.ScheduleKindAt(simcore.KindArrival, sim.Time(at), r.stepFn)
 }
 
 func (r *Replayer) step() {

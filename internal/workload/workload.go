@@ -133,7 +133,12 @@ type Emulator struct {
 	running int
 	live    []bool            // live[slot] reports whether a client occupies the slot
 	last    []metrics.ClassID // per-slot previous interaction, for Markov sessions
-	stopped bool
+	// steps[slot] is the slot's session callback, built once when the
+	// slot is created so scheduling an arrival allocates nothing;
+	// adjustFn is e.adjust bound once for the same reason.
+	steps    []func()
+	adjustFn func()
+	stopped  bool
 
 	// Interactions counts completed client interactions (the paper's
 	// WIPS numerator); shed counts interactions turned away by admission
@@ -151,12 +156,7 @@ func NewEmulator(engine *sim.Engine, sched *cluster.Scheduler, cfg Config) (*Emu
 	if len(cfg.Mix) == 0 {
 		return nil, fmt.Errorf("workload: empty interaction mix")
 	}
-	total := 0.0
-	for _, e := range cfg.Mix {
-		if e.Weight > 0 {
-			total += e.Weight
-		}
-	}
+	total := mixTotal(cfg.Mix)
 	if total <= 0 {
 		return nil, fmt.Errorf("workload: mix has no positive weights")
 	}
@@ -166,7 +166,9 @@ func NewEmulator(engine *sim.Engine, sched *cluster.Scheduler, cfg Config) (*Emu
 	if cfg.Load == nil {
 		cfg.Load = Constant(1)
 	}
-	return &Emulator{cfg: cfg, sim: engine, sched: sched, rng: engine.RNG().Fork(), total: total}, nil
+	e := &Emulator{cfg: cfg, sim: engine, sched: sched, rng: engine.RNG().Fork(), total: total}
+	e.adjustFn = e.adjust
+	return e, nil
 }
 
 // Start begins the control loop; clients ramp to the load function's
@@ -197,9 +199,10 @@ func (e *Emulator) adjust() {
 		return
 	}
 	e.target = e.cfg.Load(e.sim.Now().Seconds())
-	if e.target > len(e.live) {
-		e.live = append(e.live, make([]bool, e.target-len(e.live))...)
-		e.last = append(e.last, make([]metrics.ClassID, e.target-len(e.last))...)
+	for slot := len(e.live); slot < e.target; slot++ {
+		e.live = append(e.live, false)
+		e.last = append(e.last, metrics.ClassID{})
+		e.steps = append(e.steps, func() { e.clientStep(slot) })
 	}
 	// Occupy free slots below the target. Clients exit on their own when
 	// their slot number rises above a later, lower target, so slots are
@@ -210,22 +213,27 @@ func (e *Emulator) adjust() {
 		}
 		e.live[slot] = true
 		e.running++
-		slot := slot
 		// Stagger session starts uniformly over the adjustment window so
 		// a ramp-up does not arrive as a thundering herd.
 		delay := e.rng.Uniform(0, adjustEvery)
-		e.sim.ScheduleKind(simcore.KindArrival, delay, func() { e.clientStep(slot) })
+		e.sim.ScheduleKind(simcore.KindArrival, delay, e.steps[slot])
 	}
-	e.sim.ScheduleKind(simcore.KindIntervalTick, adjustEvery, e.adjust)
+	e.sim.ScheduleKind(simcore.KindIntervalTick, adjustEvery, e.adjustFn)
 }
 
-func drawFrom(rng *sim.RNG, mix []MixEntry) (metrics.ClassID, bool) {
+// mixTotal sums mix's positive weights.
+func mixTotal(mix []MixEntry) float64 {
 	total := 0.0
 	for _, entry := range mix {
 		if entry.Weight > 0 {
 			total += entry.Weight
 		}
 	}
+	return total
+}
+
+// drawFrom draws one class from mix, whose positive weights sum to total.
+func drawFrom(rng *sim.RNG, mix []MixEntry, total float64) (metrics.ClassID, bool) {
 	if total <= 0 {
 		return metrics.ClassID{}, false
 	}
@@ -245,12 +253,12 @@ func drawFrom(rng *sim.RNG, mix []MixEntry) (metrics.ClassID, bool) {
 func (e *Emulator) pick(slot int) metrics.ClassID {
 	if e.cfg.Transitions != nil && slot < len(e.last) {
 		if row, ok := e.cfg.Transitions[e.last[slot]]; ok {
-			if id, drawn := drawFrom(e.rng, row); drawn {
+			if id, drawn := drawFrom(e.rng, row, mixTotal(row)); drawn {
 				return id
 			}
 		}
 	}
-	id, _ := drawFrom(e.rng, e.cfg.Mix)
+	id, _ := drawFrom(e.rng, e.cfg.Mix, e.total)
 	return id
 }
 
@@ -286,7 +294,7 @@ func (e *Emulator) clientStep(slot int) {
 			// tries again, like a user retrying a busy site.
 			e.shed++
 			e.last[slot] = class
-			e.sim.ScheduleKind(simcore.KindArrival, e.think(), func() { e.clientStep(slot) })
+			e.sim.ScheduleKind(simcore.KindArrival, e.think(), e.steps[slot])
 			return
 		}
 		e.errs = append(e.errs, err)
@@ -297,5 +305,5 @@ func (e *Emulator) clientStep(slot int) {
 	e.last[slot] = class
 	e.interactions++
 	wait := (done - now) + e.think()
-	e.sim.ScheduleKind(simcore.KindArrival, wait, func() { e.clientStep(slot) })
+	e.sim.ScheduleKind(simcore.KindArrival, wait, e.steps[slot])
 }
