@@ -92,6 +92,20 @@ for workload in fig3-provisioning olap-antagonist overload-sweep; do
 	echo "$PERF_RESULT" | grep -q '"failed":0,'
 done
 
+# Traced benchmark smoke: the runs above pass --trace 0, so nothing else
+# checks that the per-layer ledger still finds its six entry points
+# (scheduler Submit, engine Execute, pool Access, mrc.Compute, controller
+# Tick, collector Apply). A renamed or vanished frame reads as a .cum_s
+# of 0, so one short traced olap-antagonist run, which reaches all six,
+# must report none at 0 (about 7 s).
+PERF_TRACED="$(bash perfbench/run.sh --workload olap-antagonist --seed 1 --seconds 5 --trace 1 | tail -n 1)"
+echo "$PERF_TRACED" | grep -q '"correct":true'
+echo "$PERF_TRACED" | grep -q '"failed":0,'
+if echo "$PERF_TRACED" | grep -Eq '\.cum_s":\{"value":0[,}]'; then
+	echo "ci.sh: a perfbench ledger entry point reads 0 s" >&2
+	exit 1
+fi
+
 # Tracetool smoke: record a fully-traced §5.2 run to a flight-recorder
 # file, then make tracetool decode it strictly and render the per-phase
 # breakdown (tracetool exits non-zero on any malformed span tree).

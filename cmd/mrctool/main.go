@@ -36,6 +36,10 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of a bar chart")
 	flag.Parse()
 
+	if err := checkCurveFlags(*mem, *threshold); err != nil {
+		fmt.Fprintln(os.Stderr, "mrctool:", err)
+		os.Exit(1)
+	}
 	pages, err := loadPages(*in, *class, *gen, *span, *skew, *n, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mrctool:", err)
@@ -66,6 +70,19 @@ func main() {
 		params.TotalMemory, params.IdealMissRatio)
 	fmt.Printf("acceptable memory:    %6d pages (acceptable miss ratio %.4f)\n",
 		params.AcceptableMemory, params.AcceptableMissRatio)
+}
+
+// checkCurveFlags rejects curve parameters that mean nothing: a
+// threshold outside (0, 1), NaN included, and a negative memory size.
+// -mem 0 leaves the parameters uncapped.
+func checkCurveFlags(mem int, threshold float64) error {
+	if !(threshold > 0 && threshold < 1) {
+		return fmt.Errorf("-threshold must be in (0, 1), got %v", threshold)
+	}
+	if mem < 0 {
+		return fmt.Errorf("-mem must not be negative, got %d", mem)
+	}
+	return nil
 }
 
 func loadPages(in, class, gen string, span uint64, skew float64, n int, seed uint64) ([]uint64, error) {

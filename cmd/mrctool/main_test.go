@@ -47,3 +47,35 @@ func TestLoadPagesGenerates(t *testing.T) {
 		t.Fatalf("-gen uniform -span MaxInt64: %d pages, error %v; want 10 pages", len(pages), err)
 	}
 }
+
+func TestCheckCurveFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		mem       int
+		threshold float64
+		want      string
+	}{
+		{"threshold=NaN", 8192, math.NaN(), "-threshold must be in (0, 1), got NaN"},
+		{"threshold=-1", 8192, -1, "-threshold must be in (0, 1), got -1"},
+		{"threshold=0", 8192, 0, "-threshold must be in (0, 1), got 0"},
+		{"threshold=1", 8192, 1, "-threshold must be in (0, 1), got 1"},
+		{"threshold=+Inf", 8192, math.Inf(1), "-threshold must be in (0, 1), got +Inf"},
+		{"mem=-5", -5, 0.02, "-mem must not be negative, got -5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := checkCurveFlags(tc.mem, tc.threshold); err == nil || err.Error() != tc.want {
+				t.Fatalf("checkCurveFlags(%d, %v) = %v, want %q", tc.mem, tc.threshold, err, tc.want)
+			}
+		})
+	}
+	// -mem 0 means uncapped, and any threshold strictly inside (0, 1)
+	// is accepted.
+	for _, tc := range []struct {
+		mem       int
+		threshold float64
+	}{{8192, 0.02}, {0, 0.02}, {1, 0.999}} {
+		if err := checkCurveFlags(tc.mem, tc.threshold); err != nil {
+			t.Errorf("checkCurveFlags(%d, %v) = %v, want nil", tc.mem, tc.threshold, err)
+		}
+	}
+}

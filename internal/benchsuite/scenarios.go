@@ -205,7 +205,7 @@ func Suite() []Scenario {
 		{
 			Name: "mattson-access",
 			Kind: "micro",
-			Doc:  "one Mattson stack-distance update (Fenwick tree) over a cyclic 1021-page stream",
+			Doc:  "one Mattson stack-distance update (dead-timestamp bitmap) over a cyclic 1021-page stream",
 			Micro: func() (func(int), func()) {
 				s := mrc.NewStackSimulator()
 				p := uint64(0)

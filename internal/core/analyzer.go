@@ -14,9 +14,6 @@ import (
 type LogAnalyzer struct {
 	eng     *engine.Engine
 	samples int
-	// win is RecomputeMRC's copy of a class's window tail, reused across
-	// recomputes.
-	win []uint64
 }
 
 // NewLogAnalyzer wraps eng with the default MRC sample count.
@@ -84,11 +81,11 @@ func (a *LogAnalyzer) SetSamples(n int) {
 // parameters for a pool of serverMemory pages. It reports false when the
 // class has not yet issued enough accesses for a stationary estimate.
 func (a *LogAnalyzer) RecomputeMRC(id metrics.ClassID, serverMemory int, threshold float64) (*mrc.Curve, mrc.Params, bool) {
-	a.win = a.eng.AppendWindow(a.win[:0], id, a.samples)
-	if len(a.win) < a.samples {
+	older, newer := a.eng.WindowTail(id, a.samples)
+	if len(older)+len(newer) < a.samples {
 		return nil, mrc.Params{}, false
 	}
-	curve := mrc.Compute(a.win)
+	curve := mrc.Compute(older, newer)
 	return curve, curve.ParamsFor(serverMemory, threshold), true
 }
 

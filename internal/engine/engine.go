@@ -588,8 +588,8 @@ func (e *Engine) SnapshotStats(interval float64) map[metrics.ClassID]metrics.Cla
 }
 
 // Window returns a copy of the recent page accesses of class id (oldest
-// first). MRC recomputation reads only the tail it needs, through
-// AppendWindow.
+// first). MRC recomputation reads only the tail it needs, in place,
+// through WindowTail.
 func (e *Engine) Window(id metrics.ClassID) []uint64 {
 	if c := e.classes[id]; c != nil {
 		return c.win.Snapshot()
@@ -597,14 +597,15 @@ func (e *Engine) Window(id metrics.ClassID) []uint64 {
 	return nil
 }
 
-// AppendWindow appends the n most recent page accesses of class id
-// (fewer when its window holds fewer), oldest first, to dst and returns
-// the extended slice.
-func (e *Engine) AppendWindow(dst []uint64, id metrics.ClassID, n int) []uint64 {
+// WindowTail returns the n most recent page accesses of class id (fewer
+// when its window holds fewer) as two slices of the window's ring, older
+// then newer; see metrics.AccessWindow.Tail. They stay valid until the
+// class's next query executes.
+func (e *Engine) WindowTail(id metrics.ClassID, n int) (older, newer []uint64) {
 	if c := e.classes[id]; c != nil {
-		return c.win.AppendTail(dst, n)
+		return c.win.Tail(n)
 	}
-	return dst
+	return nil, nil
 }
 
 // WindowCapacity reports the configured per-class window capacity.

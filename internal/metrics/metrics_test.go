@@ -374,26 +374,37 @@ func TestAccessWindowPartialFill(t *testing.T) {
 }
 
 func TestAccessWindowProperty(t *testing.T) {
-	// The snapshot is always the last min(n, cap) values in order.
+	// Before the first Add and after every one, before and after the
+	// ring wraps, the snapshot is the last min(added, cap) values in
+	// order.
 	f := func(vals []uint64) bool {
 		const capacity = 8
 		w := NewAccessWindow(capacity)
-		for _, v := range vals {
-			w.Add(v)
+		holds := func(want []uint64) bool {
+			if !slices.Equal(w.Snapshot(), want) {
+				return false
+			}
+			// AppendTail(dst, n) appends the last min(n, retained) of
+			// them, and Tail(n)'s two ring slices, concatenated, are the
+			// same.
+			for n := 0; n <= capacity+1; n++ {
+				tail := want[max(0, len(want)-n):]
+				if !slices.Equal(w.AppendTail([]uint64{7}, n), append([]uint64{7}, tail...)) {
+					return false
+				}
+				older, newer := w.Tail(n)
+				if !slices.Equal(slices.Concat(older, newer), tail) {
+					return false
+				}
+			}
+			return true
 		}
-		got := w.Snapshot()
-		start := 0
-		if len(vals) > capacity {
-			start = len(vals) - capacity
-		}
-		want := vals[start:]
-		if !slices.Equal(got, want) {
+		if !holds([]uint64{}) {
 			return false
 		}
-		// AppendTail(dst, n) appends the last min(n, retained) of them.
-		for n := 0; n <= capacity+1; n++ {
-			tail := want[max(0, len(want)-n):]
-			if !slices.Equal(w.AppendTail([]uint64{7}, n), append([]uint64{7}, tail...)) {
+		for i, v := range vals {
+			w.Add(v)
+			if !holds(vals[max(0, i+1-capacity) : i+1]) {
 				return false
 			}
 		}

@@ -40,15 +40,24 @@ func (w *AccessWindow) Snapshot() []uint64 {
 // when fewer are retained) to dst in arrival order and returns the
 // extended slice.
 func (w *AccessWindow) AppendTail(dst []uint64, n int) []uint64 {
+	older, newer := w.Tail(n)
+	return append(append(dst, older...), newer...)
+}
+
+// Tail returns the n most recent retained accesses (all of them when
+// fewer are retained) without copying them: in arrival order they are
+// older followed by newer, two slices of the window's ring, the first
+// empty unless the tail wraps around the ring's end. They alias the ring,
+// so they stay valid only until the next Add.
+func (w *AccessWindow) Tail(n int) (older, newer []uint64) {
 	n = max(0, min(n, w.size))
 	// The newest access sits just before head; while the ring has not
 	// wrapped, head == size.
 	start := w.head - n
 	if start < 0 {
-		dst = append(dst, w.buf[start+len(w.buf):]...)
-		start = 0
+		return w.buf[start+len(w.buf):], w.buf[:w.head]
 	}
-	return append(dst, w.buf[start:w.head]...)
+	return nil, w.buf[start:w.head]
 }
 
 // Reset discards all retained accesses but keeps the capacity.

@@ -49,15 +49,17 @@ func NewCurveFromHistogram(hist []int64, cold int64) *Curve {
 // in steady state allocates only the Curve it returns.
 var computeSims = sync.Pool{New: func() any { return NewStackSimulator() }}
 
-// Compute runs Mattson's algorithm over an access trace and returns its
-// miss-ratio curve. It is the one-shot form used when the retuning
-// controller recomputes the MRC of a problem query class from its recent
-// access window. The tree is sized to the whole trace, so it never
-// compacts; stack distances, and so the curve, are those of a streaming
-// StackSimulator fed the same trace.
-func Compute(trace []uint64) *Curve {
+// Compute runs Mattson's algorithm over an access trace, the
+// concatenation of the segments, and returns its miss-ratio curve. It is
+// the one-shot form used when the retuning controller recomputes the MRC
+// of a problem query class from its recent access window, which it
+// passes as the two slices of the window's ring; Compute does not retain
+// them. The simulator's timestamps are sized to the whole trace, so it
+// never compacts; stack distances, and so the curve, are those of a
+// streaming StackSimulator fed the same trace.
+func Compute(segments ...[]uint64) *Curve {
 	s := computeSims.Get().(*StackSimulator)
-	s.feedPresized(trace)
+	s.feedPresized(segments)
 	c := s.Curve()
 	computeSims.Put(s)
 	return c
@@ -107,9 +109,9 @@ const DefaultThreshold = 0.02
 
 // ParamsFor derives the curve parameters given the hosting server's
 // physical memory (in pages) and the acceptable-miss-ratio threshold.
-// A non-positive threshold falls back to DefaultThreshold.
+// A non-positive or NaN threshold falls back to DefaultThreshold.
 func (c *Curve) ParamsFor(serverMemory int, threshold float64) Params {
-	if threshold <= 0 {
+	if !(threshold > 0) {
 		threshold = DefaultThreshold
 	}
 	limit := c.MaxMemory()

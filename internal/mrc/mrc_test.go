@@ -2,6 +2,7 @@ package mrc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -226,6 +227,26 @@ func TestParamsForSequentialScan(t *testing.T) {
 	}
 }
 
+// TestParamsForNaNThreshold pins that a NaN threshold, like a
+// non-positive one, falls back to DefaultThreshold instead of making no
+// memory size acceptable below the total.
+func TestParamsForNaNThreshold(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	z := rand.NewZipf(rng, 1.2, 1, 2000)
+	trace := make([]uint64, 20000)
+	for i := range trace {
+		trace[i] = z.Uint64()
+	}
+	c := Compute(trace)
+	want := c.ParamsFor(8192, DefaultThreshold)
+	if want.AcceptableMemory == want.TotalMemory {
+		t.Fatalf("acceptable == total (%d); the check needs a curve with slack", want.AcceptableMemory)
+	}
+	if got := c.ParamsFor(8192, math.NaN()); got != want {
+		t.Fatalf("ParamsFor(NaN) = %+v, want the default threshold's %+v", got, want)
+	}
+}
+
 func TestParamsCappedByServerMemory(t *testing.T) {
 	var trace []uint64
 	for rep := 0; rep < 10; rep++ {
@@ -383,7 +404,7 @@ func sameCurve(t *testing.T, what string, a, b *Curve) {
 }
 
 // TestComputeMatchesCompactingStream pins that Compute, which sizes its
-// tree to the trace and never compacts, produces exactly what a
+// timestamps to the trace and never compacts, produces exactly what a
 // streaming simulator that compacts many times produces, including
 // when its pooled simulator last ran a longer or a shorter trace.
 func TestComputeMatchesCompactingStream(t *testing.T) {
@@ -397,12 +418,13 @@ func TestComputeMatchesCompactingStream(t *testing.T) {
 	for _, p := range trace {
 		stream.Access(p)
 	}
-	if cap(stream.scratch) == 0 {
+	// The clock counts the accesses since the last compaction.
+	if stream.clock == len(trace) {
 		t.Fatal("streaming simulator never compacted; lengthen the trace")
 	}
 	presized := NewStackSimulator()
-	presized.feedPresized(trace)
-	if cap(presized.scratch) != 0 {
+	presized.feedPresized([][]uint64{trace})
+	if presized.clock != len(trace) {
 		t.Fatal("presized simulator compacted")
 	}
 	if !slices.Equal(presized.Histogram(), stream.Histogram()) {
