@@ -16,6 +16,17 @@ go vet ./...
 # comment documenting its role and concurrency/ownership rules.
 test -z "$(go list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/...)"
 
+# Orphan-package gate: every internal package must be reachable from a
+# command. A package that no command reaches is a second path that no
+# workload measures, so it fails here until it is deleted or wired in
+# (about 0.2 s).
+CMD_DEPS="$(go list -deps -f '{{if not .Standard}}{{.ImportPath}}{{end}}' ./cmd/...)"
+ORPHANS="$(go list ./internal/... | grep -vxF "$CMD_DEPS" || true)"
+if [ -n "$ORPHANS" ]; then
+	echo "ci.sh: internal packages that no command reaches:" $ORPHANS >&2
+	exit 1
+fi
+
 go build ./...
 
 # Fast race pass over the packages whose tests still start goroutines

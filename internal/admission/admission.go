@@ -352,25 +352,18 @@ func (a *Controller) ShedClass(id metrics.ClassID) (int, bool) {
 	return a.brownout.shed(c)
 }
 
-// StableTick advances the brownout hysteresis by one stable interval:
-// once ReadmitAfter consecutive stable intervals accumulate, the most
-// recently shed class is re-admitted (LIFO — the cheapest classes,
-// shed first, return last) and the streak restarts so classes return
-// one at a time. It returns the re-admitted class, if any.
-func (a *Controller) StableTick() (metrics.ClassID, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.brownout.stableTick(a.cfg.ReadmitAfter)
-}
-
-// ReadmitTick is StableTick with the LIFO pick replaced by choose,
-// which receives the current shed list (oldest first) and names the
-// class to re-admit — the brownout decision point a readmission policy
-// can pervert. An out-of-list choice falls back to LIFO.
+// ReadmitTick advances the brownout hysteresis by one stable interval:
+// once ReadmitAfter consecutive stable intervals accumulate, one shed
+// class is re-admitted and the streak restarts so classes return one at
+// a time. choose receives the current shed list (oldest first) and
+// names the class to re-admit — the brownout decision point a
+// readmission policy can pervert; the controller's default picks LIFO
+// (the cheapest classes, shed first, return last). An out-of-list
+// choice falls back to LIFO. It returns the re-admitted class, if any.
 func (a *Controller) ReadmitTick(choose func([]metrics.ClassID) metrics.ClassID) (metrics.ClassID, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.brownout.stableTickChoose(a.cfg.ReadmitAfter, choose)
+	return a.brownout.readmitTick(a.cfg.ReadmitAfter, choose)
 }
 
 // Readmit removes id from the shed list immediately, wherever it sits

@@ -92,16 +92,16 @@ func TestShedAndReadmit(t *testing.T) {
 	}
 
 	// Hysteresis: one stable interval is not enough.
-	if _, ok := a.StableTick(); ok {
+	if _, ok := a.ReadmitTick(lifo); ok {
 		t.Fatal("readmitted after a single stable interval")
 	}
 	// A violation resets the streak.
 	a.ViolationTick()
-	if _, ok := a.StableTick(); ok {
+	if _, ok := a.ReadmitTick(lifo); ok {
 		t.Fatal("readmitted with a broken streak")
 	}
 	// Two consecutive stable intervals: LIFO — report returns first.
-	id, ok := a.StableTick()
+	id, ok := a.ReadmitTick(lifo)
 	if !ok || id != cid("report") {
 		t.Fatalf("readmit = %v, %v; want report", id, ok)
 	}
@@ -109,10 +109,10 @@ func TestShedAndReadmit(t *testing.T) {
 		t.Fatal("shed set wrong after readmission")
 	}
 	// The streak restarts for the next class.
-	if _, ok := a.StableTick(); ok {
+	if _, ok := a.ReadmitTick(lifo); ok {
 		t.Fatal("second class readmitted on the same streak")
 	}
-	if id, ok := a.StableTick(); !ok || id != cid("audit") {
+	if id, ok := a.ReadmitTick(lifo); !ok || id != cid("audit") {
 		t.Fatalf("readmit = %v, %v; want audit", id, ok)
 	}
 	if got := a.ShedClasses(); len(got) != 0 {
@@ -120,15 +120,19 @@ func TestShedAndReadmit(t *testing.T) {
 	}
 }
 
+// lifo is the controller's default readmission choice: the class shed
+// last returns first.
+func lifo(shed []metrics.ClassID) metrics.ClassID { return shed[len(shed)-1] }
+
 func TestFreshShedResetsStreak(t *testing.T) {
 	a := NewController(Config{ReadmitAfter: 2})
 	a.ShedClass(cid("audit"))
-	a.StableTick() // streak 1 of 2
+	a.ReadmitTick(lifo) // streak 1 of 2
 	a.ShedClass(cid("report"))
-	if _, ok := a.StableTick(); ok {
+	if _, ok := a.ReadmitTick(lifo); ok {
 		t.Fatal("readmitted despite a fresh shed resetting the streak")
 	}
-	if id, ok := a.StableTick(); !ok || id != cid("report") {
+	if id, ok := a.ReadmitTick(lifo); !ok || id != cid("report") {
 		t.Fatalf("readmit = %v, %v", id, ok)
 	}
 }
@@ -288,7 +292,7 @@ func TestControllerConcurrent(t *testing.T) {
 				case 10:
 					a.ShedClass(id)
 				case 20:
-					a.StableTick()
+					a.ReadmitTick(lifo)
 				case 30:
 					a.ViolationTick()
 				case 40:

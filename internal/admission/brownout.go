@@ -4,18 +4,18 @@ import "outlierlb/internal/metrics"
 
 // brownout is the shed-list state machine. The controller sheds the
 // lowest-impact class first, so the shed order is ascending impact;
-// re-admission is LIFO — the last (highest-impact, most valuable) class
-// shed is the first to return — and gated on a streak of consecutive
-// stable intervals so one quiet interval mid-overload cannot re-admit a
-// class the next interval will have to shed again. A class's shed flag
-// lives on its Class, so the entry gate reads it without a lookup
-// of its own.
+// its default re-admission is LIFO — the last (highest-impact, most
+// valuable) class shed is the first to return — and every re-admission
+// is gated on a streak of consecutive stable intervals so one quiet
+// interval mid-overload cannot re-admit a class the next interval will
+// have to shed again. A class's shed flag lives on its Class, so the
+// entry gate reads it without a lookup of its own.
 //
 // Callers hold the owning Controller's lock; brownout itself is not
 // concurrent-safe.
 type brownout struct {
-	// order is the shed sequence, oldest first. Re-admission pops from
-	// the back.
+	// order is the shed sequence, oldest first. LIFO re-admission pops
+	// from the back.
 	order  []*Class
 	streak int // consecutive stable intervals since the last violation
 }
@@ -34,27 +34,22 @@ func (b *brownout) shed(c *Class) (int, bool) {
 	return len(b.order), true
 }
 
-// stableTick advances the hysteresis by one stable interval and
-// re-admits the most recently shed class once the streak reaches
-// readmitAfter. The streak restarts after each re-admission so classes
-// return one at a time, each earning its own stable streak.
-func (b *brownout) stableTick(readmitAfter int) (metrics.ClassID, bool) {
-	if !b.streakDone(readmitAfter) {
+// readmitTick advances the hysteresis by one stable interval and, once
+// the streak reaches readmitAfter, re-admits the class choose picks from
+// the current shed order (oldest first). The streak restarts after each
+// re-admission so classes return one at a time, each earning its own
+// stable streak. A chooser returning a class not on the list falls back
+// to LIFO, so a buggy policy cannot wedge re-admission.
+func (b *brownout) readmitTick(readmitAfter int, choose func([]metrics.ClassID) metrics.ClassID) (metrics.ClassID, bool) {
+	if len(b.order) == 0 {
+		b.streak = 0
 		return metrics.ClassID{}, false
 	}
-	c := b.order[len(b.order)-1]
-	b.readmit(c)
-	return c.id, true
-}
-
-// stableTickChoose is stableTick with the LIFO pick replaced by an
-// arbitrary chooser over the current shed order (oldest first). A
-// chooser returning a class not on the list falls back to LIFO, so a
-// buggy policy cannot wedge re-admission.
-func (b *brownout) stableTickChoose(readmitAfter int, choose func([]metrics.ClassID) metrics.ClassID) (metrics.ClassID, bool) {
-	if !b.streakDone(readmitAfter) {
+	b.streak++
+	if b.streak < readmitAfter {
 		return metrics.ClassID{}, false
 	}
+	b.streak = 0
 	id := choose(b.shedClasses())
 	for _, c := range b.order {
 		if c.id == id {
@@ -65,21 +60,6 @@ func (b *brownout) stableTickChoose(readmitAfter int, choose func([]metrics.Clas
 	c := b.order[len(b.order)-1]
 	b.readmit(c)
 	return c.id, true
-}
-
-// streakDone advances the stable streak and reports whether it reached
-// readmitAfter with a class left to re-admit, restarting it if so.
-func (b *brownout) streakDone(readmitAfter int) bool {
-	if len(b.order) == 0 {
-		b.streak = 0
-		return false
-	}
-	b.streak++
-	if b.streak < readmitAfter {
-		return false
-	}
-	b.streak = 0
-	return true
 }
 
 // readmit removes c from the shed list wherever it sits in the order,

@@ -108,7 +108,6 @@ type Scheduler struct {
 	// preserve one-copy semantics by waiting for freshness when no
 	// up-to-date replica is available.
 	asyncLag float64
-	balancer Balancer
 
 	// Failure detection, retry and circuit breaking (health.go). The
 	// default hcfg (QueryDeadline == 0) disables all of it, preserving
@@ -162,18 +161,6 @@ type replicaState struct {
 	queue *admission.Queue
 }
 
-// Balancer selects how reads spread over a class's placement.
-type Balancer int
-
-// The read-balancing policies.
-const (
-	// RoundRobin rotates through the placement (the default).
-	RoundRobin Balancer = iota
-	// LeastLoaded routes each read to the fresh replica whose server
-	// currently has the smallest CPU + disk backlog.
-	LeastLoaded
-)
-
 // NewScheduler returns a scheduler for app with no replicas yet.
 func NewScheduler(app *Application) (*Scheduler, error) {
 	if app == nil || app.Name == "" {
@@ -200,9 +187,6 @@ func NewScheduler(app *Application) (*Scheduler, error) {
 		observer: obs.Nop{},
 	}, nil
 }
-
-// SetBalancer selects the read-balancing policy.
-func (s *Scheduler) SetBalancer(b Balancer) { s.balancer = b }
 
 // SetAsyncReplication switches write propagation to asynchronous with
 // the given apply lag in seconds; zero restores synchronous
@@ -248,9 +232,6 @@ func (s *Scheduler) SetTracer(t *obs.Tracer) {
 		s.admission.SetTracer(t)
 	}
 }
-
-// Tracer returns the attached span tracer, or nil.
-func (s *Scheduler) Tracer() *obs.Tracer { return s.tracer }
 
 // App returns the scheduled application.
 func (s *Scheduler) App() *Application { return s.app }
@@ -620,7 +601,7 @@ func (s *Scheduler) submitReadHealth(now float64, id metrics.ClassID, c *classSt
 	var excluded []*replicaState
 	arrive := now
 	var lastErr error
-	for attempt := 1; attempt <= s.hcfg.MaxRetries; attempt++ {
+	for attempt := 1; attempt <= maxRetries; attempt++ {
 		st, start := s.pickFreshReplica(arrive, c, excluded)
 		if st == nil {
 			break
@@ -1004,8 +985,8 @@ func (s *Scheduler) pickFreshReplica(now float64, c *classState, excluded []*rep
 func (s *Scheduler) pickReplica(now float64, c *classState, excluded []*replicaState, failOpen bool) (*replicaState, float64) {
 	reps := c.placement
 	n := len(reps)
-	var soonest, best *replicaState
-	soonestAt, bestLoad := 0.0, 0.0
+	var soonest *replicaState
+	soonestAt := 0.0
 	for i := 0; i < n; i++ {
 		st := reps[(c.rr+i)%n]
 		if st.r.failed || slices.Contains(excluded, st) {
@@ -1017,17 +998,8 @@ func (s *Scheduler) pickReplica(now float64, c *classState, excluded []*replicaS
 		behind := st.applied != s.writeSeq
 		fresh := st.freshAt
 		if !behind && fresh <= now {
-			if s.balancer == RoundRobin {
-				c.rr += i + 1
-				return st, now
-			}
-			srv := st.r.srv
-			load := srv.CPUQueueDelay(now) + srv.Disk().QueueDelay(now)
-			if best == nil || load < bestLoad {
-				best = st
-				bestLoad = load
-			}
-			continue
+			c.rr += i + 1
+			return st, now
 		}
 		if behind {
 			continue
@@ -1036,10 +1008,6 @@ func (s *Scheduler) pickReplica(now float64, c *classState, excluded []*replicaS
 			soonest = st
 			soonestAt = fresh
 		}
-	}
-	if best != nil {
-		c.rr++
-		return best, now
 	}
 	if soonest == nil {
 		return nil, 0

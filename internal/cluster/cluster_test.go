@@ -114,27 +114,6 @@ func TestReadsRoundRobinAcrossPlacement(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedAvoidsBusyServer(t *testing.T) {
-	r1, r2 := newReplica(t, "s1"), newReplica(t, "s2")
-	s := newSched(t, r1, r2)
-	s.SetBalancer(LeastLoaded)
-	// Pile CPU backlog onto s1.
-	r1.Server().RunCPU(0, 10)
-	r1.Server().RunCPU(0, 10)
-	r1.Server().RunCPU(0, 10)
-	r1.Server().RunCPU(0, 10)
-	for i := 0; i < 8; i++ {
-		if _, err := s.Submit(float64(i)*0.01, readID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n1 := r1.Engine().Pool().Stats(readID.String()).Accesses
-	n2 := r2.Engine().Pool().Stats(readID.String()).Accesses
-	if n1 != 0 {
-		t.Fatalf("least-loaded sent %d accesses to the backlogged server (idle got %d)", n1, n2)
-	}
-}
-
 func TestWritesGoToAllReplicas(t *testing.T) {
 	r1, r2 := newReplica(t, "s1"), newReplica(t, "s2")
 	s := newSched(t, r1, r2)

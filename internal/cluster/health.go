@@ -55,27 +55,27 @@ type HealthConfig struct {
 	// out (they resynchronize by state transfer on recovery). Zero
 	// disables all health management.
 	QueryDeadline float64
-	// MaxRetries is how many deadline-bounded attempts a read makes
-	// before the final patient attempt, which waits the query out on the
-	// best remaining live replica instead of abandoning at the deadline
-	// (there is nowhere left to retry). Default 2.
-	MaxRetries int
-	// BreakerThreshold trips the breaker after this many consecutive
-	// timeouts on one replica. Default 3.
-	BreakerThreshold int
-	// BreakerWindowCount trips the breaker when this many timeouts land
-	// within breakerWindow seconds even if successes interleave — the
-	// gray-failure path, where fast cached queries keep resetting a
-	// purely consecutive counter. Default 6.
-	BreakerWindowCount int
-	// BreakerCooldown is how long the breaker stays open before a
-	// half-open probe, in seconds; it doubles on each failed probe up to
-	// breakerCooldownMax. Default 10.
-	BreakerCooldown float64
 }
 
 // Failure-detector constants; times are in seconds.
 const (
+	// maxRetries is how many deadline-bounded attempts a read makes
+	// before the final patient attempt, which waits the query out on the
+	// best remaining live replica instead of abandoning at the deadline
+	// (there is nowhere left to retry).
+	maxRetries = 2
+	// breakerThreshold trips the breaker after this many consecutive
+	// timeouts on one replica.
+	breakerThreshold = 3
+	// breakerWindowCount trips the breaker when this many timeouts land
+	// within breakerWindow seconds even if successes interleave — the
+	// gray-failure path, where fast cached queries keep resetting a
+	// purely consecutive counter.
+	breakerWindowCount = 6
+	// breakerCooldown is how long the breaker stays open before a
+	// half-open probe; it doubles on each failed probe up to
+	// breakerCooldownMax.
+	breakerCooldown = 10.0
 	// initialRetryBackoff is the client backoff before the first retry;
 	// it doubles per attempt up to maxRetryBackoff.
 	initialRetryBackoff = 0.05
@@ -94,29 +94,6 @@ const (
 
 // Enabled reports whether health management is active.
 func (c HealthConfig) Enabled() bool { return c.QueryDeadline > 0 }
-
-func (c *HealthConfig) fill() {
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 2
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerWindowCount <= 0 {
-		c.BreakerWindowCount = 6
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10
-	}
-}
-
-// DefaultHealthConfig returns the detector defaults with the given
-// per-query deadline.
-func DefaultHealthConfig(deadline float64) HealthConfig {
-	c := HealthConfig{QueryDeadline: deadline}
-	c.fill()
-	return c
-}
 
 // replicaHealth is the per-replica detector state.
 type replicaHealth struct {
@@ -138,14 +115,8 @@ func pruneBefore(ts []float64, cutoff float64) []float64 {
 }
 
 // SetHealthConfig enables (QueryDeadline > 0) or disables the failure
-// detector, retry policy and circuit breaker. Missing knobs are filled
-// with defaults.
-func (s *Scheduler) SetHealthConfig(cfg HealthConfig) {
-	if cfg.Enabled() {
-		cfg.fill()
-	}
-	s.hcfg = cfg
-}
+// detector, retry policy and circuit breaker.
+func (s *Scheduler) SetHealthConfig(cfg HealthConfig) { s.hcfg = cfg }
 
 // HealthConfig returns the active health configuration.
 func (s *Scheduler) HealthConfig() HealthConfig { return s.hcfg }
@@ -192,7 +163,7 @@ func (s *Scheduler) BreakerTrips(r *Replica) int {
 func (s *Scheduler) healthFor(r *Replica) *replicaHealth {
 	h := s.health[r]
 	if h == nil {
-		h = &replicaHealth{cooldown: s.hcfg.BreakerCooldown}
+		h = &replicaHealth{cooldown: breakerCooldown}
 		s.health[r] = h
 	}
 	return h
@@ -257,7 +228,7 @@ func (s *Scheduler) recordSuccess(now float64, r *Replica) {
 	switch h.state {
 	case HealthProbation:
 		h.state = HealthHealthy
-		h.cooldown = s.hcfg.BreakerCooldown
+		h.cooldown = breakerCooldown
 		h.recent = h.recent[:0]
 		h.recentOK = h.recentOK[:0]
 		s.emitHealth(now, obs.EventReplicaRecovered, r,
@@ -302,9 +273,9 @@ func (s *Scheduler) recordTimeout(now float64, r *Replica, cause string) {
 	// keeps one slow query from tripping an idle replica, the rate keeps
 	// the latency tail of a busy healthy replica (many successes, a few
 	// timeouts) from tripping it.
-	windowed := len(h.recent) >= s.hcfg.BreakerWindowCount &&
+	windowed := len(h.recent) >= breakerWindowCount &&
 		float64(len(h.recent)) >= breakerWindowRate*float64(len(h.recent)+len(h.recentOK))
-	if h.consecutive >= s.hcfg.BreakerThreshold || windowed {
+	if h.consecutive >= breakerThreshold || windowed {
 		h.state = HealthFailed
 		h.openUntil = now + h.cooldown
 		h.trips++

@@ -46,12 +46,13 @@ func TestHealthConfigDefaults(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("zero config enabled")
 	}
-	c = DefaultHealthConfig(0.5)
+	c = HealthConfig{QueryDeadline: 0.5}
 	if !c.Enabled() {
 		t.Fatal("deadline config disabled")
 	}
-	if c.MaxRetries != 2 || c.BreakerThreshold != 3 || c.BreakerCooldown != 10 {
-		t.Fatalf("defaults not filled: %+v", c)
+	if maxRetries != 2 || breakerThreshold != 3 || breakerWindowCount != 6 || breakerCooldown != 10 {
+		t.Fatalf("detector constants: retries %d, threshold %d, window count %d, cooldown %v",
+			maxRetries, breakerThreshold, breakerWindowCount, breakerCooldown)
 	}
 }
 
@@ -186,7 +187,7 @@ func TestWindowedTripCatchesIntermittentTimeouts(t *testing.T) {
 	if s.Health(r1) != HealthFailed {
 		t.Fatal("windowed condition never tripped the breaker")
 	}
-	if h := s.health[r1]; len(h.recent) < s.hcfg.BreakerWindowCount {
+	if h := s.health[r1]; len(h.recent) < breakerWindowCount {
 		t.Fatalf("tripped with only %d windowed timeouts", len(h.recent))
 	}
 }

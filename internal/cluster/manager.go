@@ -16,7 +16,6 @@ type Manager struct {
 	servers    []*server.Server
 	engines    map[*server.Server][]*engine.Engine
 	schedulers map[string]*Scheduler
-	replicas   map[*engine.Engine]*Replica
 	// PoolConfig is the buffer-pool configuration given to engines the
 	// manager provisions. Capacity defaults to the hosting server's
 	// memory when zero.
@@ -39,7 +38,6 @@ func NewManager() *Manager {
 	return &Manager{
 		engines:    make(map[*server.Server][]*engine.Engine),
 		schedulers: make(map[string]*Scheduler),
-		replicas:   make(map[*engine.Engine]*Replica),
 	}
 }
 
@@ -142,7 +140,6 @@ func (m *Manager) Provision(app string, srv *server.Server) (*Replica, error) {
 		return nil, err
 	}
 	m.engines[srv] = append(m.engines[srv], eng)
-	m.replicas[eng] = rep
 	m.emit(obs.EventEngineUp, app, srv.Name(),
 		fmt.Sprintf("%s provisioned (%d-page pool)", eng.Name(), cfg.Pool.Capacity))
 	return rep, nil
@@ -184,7 +181,6 @@ func (m *Manager) Decommission(app string, rep *Replica) error {
 			break
 		}
 	}
-	delete(m.replicas, eng)
 	m.emit(obs.EventEngineDown, app, srv.Name(), eng.Name()+" decommissioned")
 	return nil
 }
@@ -222,13 +218,6 @@ func (m *Manager) Schedulers() []*Scheduler {
 // EnginesOn returns the engines hosted on srv.
 func (m *Manager) EnginesOn(srv *server.Server) []*engine.Engine {
 	return m.engines[srv]
-}
-
-// ReplicaOf returns the replica wrapping eng, if the manager provisioned
-// it.
-func (m *Manager) ReplicaOf(eng *engine.Engine) (*Replica, bool) {
-	r, ok := m.replicas[eng]
-	return r, ok
 }
 
 // Allocation summarizes server usage as "server: engine,engine" lines for

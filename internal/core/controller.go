@@ -22,20 +22,12 @@ import (
 type Config struct {
 	// Interval is the measurement interval in seconds. Default 10.
 	Interval float64
-	// Fences are the IQR outlier fences. Default 1.5 / 3.0.
-	Fences Fences
-	// CPUSaturation is the mean core utilization treated as CPU
-	// saturation. Default 0.85.
-	CPUSaturation float64
 	// MRCChangeFactor is the relative change in MRC memory parameters
 	// considered significant. Default 1.6: window-based MRC estimates
 	// carry sampling noise well above the paper's nominal 1.25, and the
 	// §5.3 index-drop signal (a 1.9x acceptable-memory change) clears
 	// this bar comfortably.
 	MRCChangeFactor float64
-	// TopK is how many heavyweight classes to investigate when no outlier
-	// contexts are found. Default 3.
-	TopK int
 	// FallbackAfter is the number of consecutive violating intervals
 	// after which the controller falls back to coarse-grained isolation.
 	// Default 4.
@@ -109,17 +101,8 @@ func (c *Config) fill() {
 	if c.Interval <= 0 {
 		c.Interval = 10
 	}
-	if c.Fences.Inner <= 0 {
-		c.Fences = DefaultFences()
-	}
-	if c.CPUSaturation <= 0 {
-		c.CPUSaturation = 0.85
-	}
 	if c.MRCChangeFactor <= 0 {
 		c.MRCChangeFactor = 1.6
-	}
-	if c.TopK <= 0 {
-		c.TopK = 3
 	}
 	if c.FallbackAfter <= 0 {
 		c.FallbackAfter = 4
@@ -131,6 +114,16 @@ func (c *Config) fill() {
 		c.ShrinkAfter = 1
 	}
 }
+
+// Diagnosis constants. Outlier detection uses DefaultFences.
+const (
+	// cpuSaturation is the mean core utilization treated as CPU
+	// saturation.
+	cpuSaturation = 0.85
+	// topK is how many heavyweight classes to investigate when no
+	// outlier contexts are found.
+	topK = 3
+)
 
 // ActionKind labels a retuning action.
 type ActionKind string
@@ -227,9 +220,9 @@ type Controller struct {
 	lastSnapsAt float64
 
 	// guard, when non-nil, is the action watchdog consulted around every
-	// retuning action (see ActionGuard). policy, when non-nil, replaces
-	// the inline shed/reschedule/readmit choices (see Policy). Both nil
-	// by default: the historical code paths run untouched.
+	// retuning action (see ActionGuard); nil by default. policy makes the
+	// shed/reschedule/readmit choices (see Policy): DefaultPolicy unless
+	// SetPolicy installed another.
 	guard  ActionGuard
 	policy Policy
 
@@ -278,6 +271,7 @@ func NewController(s *sim.Engine, mgr *cluster.Manager, cfg Config) (*Controller
 		stableStreak: make(map[string]int),
 		reconfirm:    make(map[string]bool),
 		observer:     obs.Nop{},
+		policy:       DefaultPolicy{},
 	}
 	c.AttachControlPlane(ctrlnet.New(s, 0))
 	return c, nil
@@ -318,9 +312,13 @@ func (c *Controller) Suspend(s bool) {
 // consulted around every retuning action.
 func (c *Controller) SetGuard(g ActionGuard) { c.guard = g }
 
-// SetPolicy installs (or, with nil, removes) a decision policy. Nil —
-// the default — keeps the historical inline decisions byte-for-byte.
-func (c *Controller) SetPolicy(p Policy) { c.policy = p }
+// SetPolicy installs a decision policy; nil reinstates DefaultPolicy.
+func (c *Controller) SetPolicy(p Policy) {
+	if p == nil {
+		p = DefaultPolicy{}
+	}
+	c.policy = p
+}
 
 // SetClockOffset skews the controller's clock by o seconds of virtual
 // time — the clock-skew fault's injection point. The simulation and the
@@ -515,12 +513,7 @@ func (c *Controller) Tick() {
 					srvName = reps[0].Server().Name()
 				}
 				apply := func() any {
-					id, ok := metrics.ClassID{}, false
-					if c.policy != nil {
-						id, ok = adm.ReadmitTick(c.policy.ReadmitChoice)
-					} else {
-						id, ok = adm.StableTick()
-					}
+					id, ok := adm.ReadmitTick(c.policy.ReadmitChoice)
 					if !ok {
 						return nil
 					}
@@ -577,7 +570,7 @@ func (c *Controller) Tick() {
 	// A force-shed policy (the reject-all pathological template) sheds
 	// on every eligible tick, violated or not, in place of diagnosis —
 	// unless the watchdog's storm circuit has opened for the app.
-	if c.policy != nil && c.policy.ForceShed() && !suspended {
+	if c.policy.ForceShed() && !suspended {
 		for _, sched := range c.mgr.Schedulers() {
 			app := sched.App().Name
 			if acted {
@@ -601,7 +594,7 @@ func (c *Controller) Tick() {
 		if suspended {
 			continue
 		}
-		if c.policy != nil && c.policy.ForceShed() {
+		if c.policy.ForceShed() {
 			continue // the force-shed loop above owns all actions
 		}
 		if c.guard != nil {
@@ -936,7 +929,7 @@ func (c *Controller) diagnose(now float64, sched *cluster.Scheduler,
 		// CPU time without consuming the present.
 		backlogged := srv.CPUQueueDelay(now) >= 0.5*sched.App().SLA.MaxAvgLatency &&
 			cpu[srv] >= 0.5
-		if cpu[srv] >= c.cfg.CPUSaturation || backlogged {
+		if cpu[srv] >= cpuSaturation || backlogged {
 			if c.provisionForCPU(now, sched, srv) {
 				return true
 			}
@@ -1050,7 +1043,7 @@ func (c *Controller) brownoutShed(now float64, sched *cluster.Scheduler,
 	if len(current) == 0 {
 		return false
 	}
-	reports := Detect(current, stable, c.cfg.Fences)
+	reports := Detect(current, stable, DefaultFences())
 	ids := make([]metrics.ClassID, 0, len(reports))
 	for id := range reports {
 		ids = append(ids, id)
@@ -1072,25 +1065,15 @@ func (c *Controller) brownoutShed(now float64, sched *cluster.Scheduler,
 		}
 		cands = append(cands, ShedCandidate{ID: id, Impact: score})
 	}
-	var victim metrics.ClassID
-	best := math.Inf(1)
-	found := false
-	if c.policy != nil {
-		victim, found = c.policy.ShedVictim(cands)
-		for _, cd := range cands {
-			if cd.ID == victim {
-				best = cd.Impact
-			}
-		}
-	} else {
-		for _, cd := range cands {
-			if cd.Impact < best {
-				best, victim, found = cd.Impact, cd.ID, true
-			}
-		}
-	}
+	victim, found := c.policy.ShedVictim(cands)
 	if !found {
 		return false
+	}
+	best := math.Inf(1)
+	for _, cd := range cands {
+		if cd.ID == victim {
+			best = cd.Impact
+		}
 	}
 	if !c.guardAllows(now, ActionShedClass, app, "", victim.Class) {
 		return false
@@ -1114,7 +1097,7 @@ func (c *Controller) brownoutShed(now float64, sched *cluster.Scheduler,
 			return
 		}
 		detail := fmt.Sprintf("no rebalancing move; lowest impact %.3g, shed #%d", best, ord)
-		if c.policy != nil {
+		if _, def := c.policy.(DefaultPolicy); !def {
 			detail = fmt.Sprintf("policy %s chose impact %.3g, shed #%d", c.policy.Name(), best, ord)
 		}
 		a := Action{Time: at, Kind: ActionShedClass, App: app, Class: victim.Class, Detail: detail}
@@ -1183,7 +1166,7 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 			})
 		}
 	} else {
-		reports = Detect(current, sig.Metrics, c.cfg.Fences)
+		reports = Detect(current, sig.Metrics, DefaultFences())
 	}
 	if c.observing {
 		for _, rep := range Outliers(reports) {
@@ -1211,7 +1194,7 @@ func (c *Controller) diagnoseMemory(now float64, sched *cluster.Scheduler, r *cl
 	if len(candidates) == 0 {
 		// §3.3.2: "If no outlier query contexts can be determined, we use
 		// similar algorithms on the top-k heavyweight queries."
-		candidates = TopKByMemory(current, c.cfg.TopK)
+		candidates = TopKByMemory(current, topK)
 	}
 	sort.Slice(candidates, func(i, j int) bool {
 		return candidates[i].String() < candidates[j].String()
@@ -1384,7 +1367,7 @@ func (c *Controller) diagnoseLocks(now float64, sched *cluster.Scheduler, r *clu
 	overwhelming := worstWait >= 0.5*sched.App().SLA.MaxAvgLatency
 	if !overwhelming {
 		sig := c.sigs.Get(app, r.Server().Name())
-		reports := Detect(current, sig.Metrics, c.cfg.Fences)
+		reports := Detect(current, sig.Metrics, DefaultFences())
 		if rep := reports[worst]; rep == nil || rep.ByMetric[metrics.LockWait] == NotOutlier {
 			return false
 		}
@@ -1474,17 +1457,7 @@ func (c *Controller) rescheduleClass(now float64, id metrics.ClassID, from *serv
 		c.markReconfirm(id, from.Name())
 		return false
 	}
-	var target *cluster.Replica
-	if c.policy != nil {
-		target = c.policy.RescheduleTarget(now, from, owner.Replicas())
-	} else {
-		for _, r := range owner.Replicas() {
-			if r.Server() != from {
-				target = r
-				break
-			}
-		}
-	}
+	target := c.policy.RescheduleTarget(now, from, owner.Replicas())
 	// The watchdog's rollback restores the class's placement as it was
 	// before the move.
 	prior := append([]*cluster.Replica(nil), owner.Placement(id)...)

@@ -94,9 +94,11 @@ func TestNewControllerValidation(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var cfg Config
 	cfg.fill()
-	if cfg.Interval != 10 || cfg.Fences.Inner != 1.5 || cfg.TopK != 3 ||
-		cfg.CPUSaturation != 0.85 || cfg.FallbackAfter != 4 {
+	if cfg.Interval != 10 || cfg.FallbackAfter != 4 {
 		t.Fatalf("defaults wrong: %+v", cfg)
+	}
+	if f := DefaultFences(); f.Inner != 1.5 || f.Outer != 3 || topK != 3 || cpuSaturation != 0.85 {
+		t.Fatalf("diagnosis constants: fences %+v, top-k %d, CPU saturation %v", f, topK, cpuSaturation)
 	}
 }
 

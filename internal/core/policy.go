@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"outlierlb/internal/cluster"
 	"outlierlb/internal/metrics"
 	"outlierlb/internal/server"
@@ -18,11 +20,10 @@ type ShedCandidate struct {
 // Policy is the controller's pluggable decision seam: the three places
 // where the diagnosis chooses WHICH class or replica an action applies
 // to (shed victim, reschedule target, readmission order), plus a
-// force-shed override. A nil policy (the default everywhere) keeps the
-// historical inline decisions byte-for-byte, so figure goldens are
-// untouched; DefaultPolicy reproduces them explicitly and is the
-// embedding base for the pathological templates that the action
-// watchdog (internal/guard) is tested against.
+// force-shed override. A controller starts with DefaultPolicy, and
+// SetPolicy(nil) reinstates it; DefaultPolicy is also the embedding
+// base for the pathological templates that the action watchdog
+// (internal/guard) is tested against.
 type Policy interface {
 	// Name identifies the policy in action details and scorecards.
 	Name() string
@@ -35,8 +36,8 @@ type Policy interface {
 	ShedVictim(cands []ShedCandidate) (metrics.ClassID, bool)
 	// RescheduleTarget picks the replica a problem class moves to, from
 	// the owning application's current replicas. Returning nil asks the
-	// controller to provision a fresh replica instead (the historical
-	// behaviour when no replica on another server exists).
+	// controller to provision a fresh replica instead (DefaultPolicy's
+	// answer when no replica on another server exists).
 	RescheduleTarget(now float64, from *server.Server, reps []*cluster.Replica) *cluster.Replica
 	// ReadmitChoice picks which shed class returns when the brownout
 	// hysteresis allows one re-admission. shed is the current shed list,
@@ -44,10 +45,10 @@ type Policy interface {
 	ReadmitChoice(shed []metrics.ClassID) metrics.ClassID
 }
 
-// DefaultPolicy reproduces the controller's historical inline choices:
-// shed the lowest-impact class, move to the first replica on another
-// server, readmit LIFO. Pathological templates embed it and override
-// single decisions.
+// DefaultPolicy is the controller's decision policy: shed the
+// lowest-impact class, move to the first replica on another server,
+// readmit LIFO. Pathological templates embed it and override single
+// decisions.
 type DefaultPolicy struct{}
 
 // Name implements Policy.
@@ -56,18 +57,18 @@ func (DefaultPolicy) Name() string { return "default" }
 // ForceShed implements Policy.
 func (DefaultPolicy) ForceShed() bool { return false }
 
-// ShedVictim implements Policy: lowest summed impact wins.
+// ShedVictim implements Policy: the lowest summed impact below +Inf
+// wins, the earliest candidate on a tie.
 func (DefaultPolicy) ShedVictim(cands []ShedCandidate) (metrics.ClassID, bool) {
-	if len(cands) == 0 {
-		return metrics.ClassID{}, false
-	}
-	best := cands[0]
-	for _, cd := range cands[1:] {
-		if cd.Impact < best.Impact {
-			best = cd
+	var victim metrics.ClassID
+	best := math.Inf(1)
+	found := false
+	for _, cd := range cands {
+		if cd.Impact < best {
+			best, victim, found = cd.Impact, cd.ID, true
 		}
 	}
-	return best.ID, true
+	return victim, found
 }
 
 // RescheduleTarget implements Policy: the first replica hosted on a

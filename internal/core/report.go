@@ -54,7 +54,7 @@ func (c *Controller) Diagnose(now float64, app string, srv *server.Server,
 		DiskUtil: srv.Disk().UtilizationWindow(now),
 	}
 	sig := c.sigs.Get(app, srv.Name())
-	for _, r := range Outliers(Detect(current, sig.Metrics, c.cfg.Fences)) {
+	for _, r := range Outliers(Detect(current, sig.Metrics, DefaultFences())) {
 		line := OutlierLine{Class: r.ID.Class, Level: r.Max().String(), MemoryHit: r.MemoryOutlier()}
 		for m := 0; m < metrics.NumMetrics; m++ {
 			if r.ByMetric[m] != NotOutlier {

@@ -1,20 +1,20 @@
 // Package ctrlnet is the simulated control-plane transport: a
 // message-passing network between the controller and the engines, built
 // on the discrete-event core (simcore.KindMessage events) so every
-// delivery, loss, duplication and reordering is a deterministic function
-// of the scenario seed.
+// delivery, loss and duplication is a deterministic function of the
+// scenario seed.
 //
 // # Link model
 //
 // Endpoints are named mailboxes with a handler. Each directional link
 // (from, to) carries a Config: base one-way latency, uniform jitter,
-// drop probability, duplication probability, and a reorder term that
-// occasionally adds a large extra delay so a later message can overtake
-// an earlier one. A link with the zero Config is PERFECT: Send delivers
-// inline, synchronously, within the caller's stack — no event is
-// scheduled and no random draw is made. That inline fast path is the
-// controller's default channel (DESIGN.md §11); an imperfect link
-// schedules a KindMessage event per delivery instead.
+// drop probability and duplication probability. Jitter and duplicate
+// copies let a later message overtake an earlier one. A link with the
+// zero Config is PERFECT: Send delivers inline, synchronously, within
+// the caller's stack — no event is scheduled and no random draw is
+// made. That inline fast path is the controller's default channel
+// (DESIGN.md §11); an imperfect link schedules a KindMessage event per
+// delivery instead.
 //
 // # Partitions
 //
@@ -54,18 +54,12 @@ type Config struct {
 	// Dup is the probability a message is delivered twice (the copy
 	// takes an independent latency+jitter draw, so duplicates reorder).
 	Dup float64
-	// ReorderRate is the probability a message takes an extra
-	// ReorderDelay-bounded detour, letting later sends overtake it.
-	ReorderRate float64
-	// ReorderDelay bounds the uniform extra delay of a detoured message.
-	ReorderDelay float64
 }
 
 // Perfect reports whether the link delivers inline: no latency, no
-// jitter, no loss, no duplication, no reordering.
+// jitter, no loss, no duplication.
 func (c Config) Perfect() bool {
-	return c.Latency <= 0 && c.Jitter <= 0 && c.Drop <= 0 && c.Dup <= 0 &&
-		(c.ReorderRate <= 0 || c.ReorderDelay <= 0)
+	return c.Latency <= 0 && c.Jitter <= 0 && c.Drop <= 0 && c.Dup <= 0
 }
 
 // Handler consumes a delivered message at an endpoint.
@@ -156,9 +150,6 @@ func (n *Network) Endpoint(name string, h Handler) {
 	}
 	n.eps[name] = &endpoint{name: name, handler: h}
 }
-
-// HasEndpoint reports whether name is registered.
-func (n *Network) HasEndpoint(name string) bool { return n.eps[name] != nil }
 
 // Stats returns the lifetime traffic counters.
 func (n *Network) Stats() Stats { return n.stats }
@@ -271,9 +262,6 @@ func (n *Network) schedule(k linkKey, ep *endpoint, from string, payload any, cf
 	delay := cfg.Latency
 	if cfg.Jitter > 0 {
 		delay += n.rng.Uniform(0, cfg.Jitter)
-	}
-	if cfg.ReorderRate > 0 && cfg.ReorderDelay > 0 && n.rng.Float64() < cfg.ReorderRate {
-		delay += n.rng.Uniform(0, cfg.ReorderDelay)
 	}
 	if delay < 0 {
 		delay = 0

@@ -168,7 +168,7 @@ func TestSameLatencySendsDeliverFIFO(t *testing.T) {
 func TestLossyLinkDeterminism(t *testing.T) {
 	run := func(seed uint64) []delivery {
 		s, n, got := harness(t, seed)
-		n.SetDefaults(Config{Latency: 0.5, Jitter: 0.3, Drop: 0.3, Dup: 0.2, ReorderRate: 0.1, ReorderDelay: 2})
+		n.SetDefaults(Config{Latency: 0.5, Jitter: 0.3, Drop: 0.3, Dup: 0.2})
 		for i := 0; i < 200; i++ {
 			n.Send("ctl", "srv", i)
 			n.Send("srv", "ctl", 1000+i)

@@ -608,9 +608,6 @@ func (e *Engine) WindowTail(id metrics.ClassID, n int) (older, newer []uint64) {
 	return nil, nil
 }
 
-// WindowCapacity reports the configured per-class window capacity.
-func (e *Engine) WindowCapacity() int { return e.cfg.WindowSize }
-
 // HitRatio reports the buffer-pool hit ratio observed for class id since
 // pool statistics were last reset.
 func (e *Engine) HitRatio(id metrics.ClassID) float64 {

@@ -151,7 +151,7 @@ func (o Options) runChaosOpts(seed uint64, faultAt, clearAt, endAt float64, opts
 	if _, err := tb.mgr.ProvisionOnFreeServer(app.Name); err != nil {
 		return nil, fmt.Errorf("provisioning second replica: %w", err)
 	}
-	sched.SetHealthConfig(cluster.DefaultHealthConfig(chaosDeadline))
+	sched.SetHealthConfig(cluster.HealthConfig{QueryDeadline: chaosDeadline})
 	sched.SetClock(func() float64 { return tb.sim.Now().Seconds() })
 	sched.SetObserver(observer)
 	if opts.admission {

@@ -88,8 +88,8 @@ type Options struct {
 	// RNG, so outputs are unaffected.
 	Tracer *obs.Tracer
 	// CtrlLink is the default link configuration (latency, jitter, drop,
-	// duplication, reordering) of every control channel the run builds.
-	// The zero Config is the perfect channel.
+	// duplication) of every control channel the run builds. The zero
+	// Config is the perfect channel.
 	CtrlLink ctrlnet.Config
 	// OnArrival, when set, receives every client submission — cohort
 	// (application) name, exact virtual time, query class — before the
@@ -213,19 +213,6 @@ func (tb *testbed) emulate(sched *cluster.Scheduler, mix []workload.MixEntry,
 		panic(err)
 	}
 	return em
-}
-
-// measure runs the simulation for dur seconds and returns the average
-// latency and throughput over that span. It closes intervals directly on
-// the tracker, so it is only for runs where no controller is ticking.
-func (tb *testbed) measure(sched *cluster.Scheduler, dur float64) (latency, wips float64) {
-	start := tb.sim.Now().Seconds()
-	// Close out whatever partial interval is pending so the measurement
-	// window is clean.
-	sched.Tracker().CloseInterval(start, start)
-	tb.sim.RunUntil(sim.Time(start + dur))
-	iv := sched.Tracker().CloseInterval(start, start+dur)
-	return iv.AvgLatency, iv.Throughput
 }
 
 // windowStats aggregates the controller-closed intervals of sched that

@@ -72,7 +72,7 @@ func (in *Injector) DegradedLink(net *ctrlnet.Network, from, to string, cfg ctrl
 }
 
 // DegradedChannel replaces the network's default link characteristics
-// with cfg (loss, duplication, latency, jitter, reordering) from at
+// with cfg (loss, duplication, latency, jitter) from at
 // until clearAt, then restores the characteristics that were in effect
 // when the fault fired. clearAt ≤ at leaves the degradation permanent.
 func (in *Injector) DegradedChannel(net *ctrlnet.Network, cfg ctrlnet.Config, at, clearAt float64) {

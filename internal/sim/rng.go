@@ -43,15 +43,6 @@ func (g *RNG) Exp(mean float64) float64 {
 	return g.r.ExpFloat64() * mean
 }
 
-// Normal returns a normally distributed value with the given mean and
-// standard deviation.
-func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
-}
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // Pareto returns a bounded Pareto-ish heavy-tailed value with the given
 // minimum and shape alpha (> 0). Used for occasional heavyweight service
 // demands.

@@ -99,14 +99,6 @@ func (r *Recorder) Observe(cohort string, t float64, class metrics.ClassID) {
 	r.trace.Arrivals = append(r.trace.Arrivals, Arrival{T: t, Cohort: r.cohortIdx[cohort], Class: ci})
 }
 
-// Hook returns a workload.Config.OnArrival-shaped adapter that records
-// under a fixed cohort name — for capturing a closed-loop emulator,
-// which has no cohort concept of its own.
-func (r *Recorder) Hook(cohort string) func(t float64, class metrics.ClassID) {
-	r.Register(cohort)
-	return func(t float64, class metrics.ClassID) { r.Observe(cohort, t, class) }
-}
-
 // Trace returns the recording so far. The recorder retains ownership;
 // callers should be done recording before writing it out.
 func (r *Recorder) Trace() *Trace { return &r.trace }

@@ -234,40 +234,6 @@ func WriteFraction(kind MixKind) float64 {
 	return w / total
 }
 
-// Transitions returns a plausible TPC-W navigation graph for Markov
-// sessions (the spec defines one per mix; this captures its shape: Home
-// fans out to browsing, search leads to results, carts lead to the buy
-// funnel, and most paths return toward Home/ProductDetail).
-func Transitions() map[metrics.ClassID][]workload.MixEntry {
-	row := func(pairs ...any) []workload.MixEntry {
-		var out []workload.MixEntry
-		for i := 0; i < len(pairs); i += 2 {
-			out = append(out, workload.MixEntry{
-				ID:     ClassID(pairs[i].(string)),
-				Weight: pairs[i+1].(float64),
-			})
-		}
-		return out
-	}
-	return map[metrics.ClassID][]workload.MixEntry{
-		ClassID("Home"): row("SearchRequest", 30.0, "NewProducts", 20.0,
-			BestSellerClass, 20.0, "ProductDetail", 25.0, "OrderInquiry", 5.0),
-		ClassID("SearchRequest"):        row("SearchResults", 95.0, "Home", 5.0),
-		ClassID("SearchResults"):        row("ProductDetail", 60.0, "SearchRequest", 30.0, "Home", 10.0),
-		ClassID("NewProducts"):          row("ProductDetail", 70.0, "Home", 30.0),
-		ClassID(BestSellerClass):        row("ProductDetail", 70.0, "Home", 30.0),
-		ClassID("ProductDetail"):        row("ShoppingCart", 25.0, "ProductDetail", 20.0, "SearchRequest", 25.0, "Home", 30.0),
-		ClassID("ShoppingCart"):         row("BuyRequest", 40.0, "ShoppingCart", 10.0, "Home", 50.0),
-		ClassID("BuyRequest"):           row("BuyConfirm", 60.0, "Home", 40.0),
-		ClassID("BuyConfirm"):           row("Home", 100.0),
-		ClassID("OrderInquiry"):         row("OrderDisplay", 50.0, "Home", 50.0),
-		ClassID("OrderDisplay"):         row("Home", 100.0),
-		ClassID("CustomerRegistration"): row("BuyRequest", 70.0, "Home", 30.0),
-		ClassID("AdminRequest"):         row("AdminConfirm", 80.0, "Home", 20.0),
-		ClassID("AdminConfirm"):         row("Home", 100.0),
-	}
-}
-
 // ClassNames lists the interaction names in mix order.
 func ClassNames() []string {
 	out := make([]string, len(shoppingMix))

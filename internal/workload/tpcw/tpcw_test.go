@@ -72,54 +72,6 @@ func TestMixForCoversAllClasses(t *testing.T) {
 	}
 }
 
-func TestTransitionsWellFormed(t *testing.T) {
-	app := New(sim.NewRNG(1), Options{})
-	valid := make(map[string]bool)
-	for _, spec := range app.Classes {
-		valid[spec.ID.Class] = true
-	}
-	tr := Transitions()
-	if len(tr) < 10 {
-		t.Fatalf("only %d transition rows", len(tr))
-	}
-	for from, row := range tr {
-		if !valid[from.Class] {
-			t.Fatalf("transition from unknown class %v", from)
-		}
-		total := 0.0
-		for _, e := range row {
-			if !valid[e.ID.Class] {
-				t.Fatalf("transition %v -> unknown %v", from, e.ID)
-			}
-			if e.Weight <= 0 {
-				t.Fatalf("transition %v -> %v weight %v", from, e.ID, e.Weight)
-			}
-			total += e.Weight
-		}
-		if total < 99.9 || total > 100.1 {
-			t.Fatalf("row %v weights sum to %v, want 100", from, total)
-		}
-	}
-	// Every row can eventually reach Home (the graph is not absorbing
-	// anywhere else): walk rows and require Home reachable within a few
-	// hops by BFS.
-	reach := map[string]bool{"Home": true}
-	for hop := 0; hop < 6; hop++ {
-		for from, row := range tr {
-			for _, e := range row {
-				if reach[e.ID.Class] {
-					reach[from.Class] = true
-				}
-			}
-		}
-	}
-	for from := range tr {
-		if !reach[from.Class] {
-			t.Fatalf("class %v cannot reach Home", from)
-		}
-	}
-}
-
 func TestClassNames(t *testing.T) {
 	names := ClassNames()
 	if len(names) != 14 || names[2] != BestSellerClass {

@@ -104,13 +104,6 @@ type Config struct {
 	// Load is the target client population over time. Defaults to
 	// Constant(1).
 	Load LoadFunction
-	// Transitions, when non-nil, turns the session into a Markov chain:
-	// after completing class X, a client draws its next interaction from
-	// Transitions[X] instead of the global mix (which still seeds each
-	// session's first interaction and covers classes without a row).
-	// Real benchmark clients navigate this way — TPC-W specifies a
-	// transition matrix between web interactions.
-	Transitions map[metrics.ClassID][]MixEntry
 	// OnArrival, when non-nil, is called once per interaction submission
 	// — immediately before the scheduler sees it, with the submission's
 	// virtual time and query class. Shed-and-retried interactions invoke
@@ -131,8 +124,7 @@ type Emulator struct {
 	total   float64 // sum of positive mix weights
 	target  int
 	running int
-	live    []bool            // live[slot] reports whether a client occupies the slot
-	last    []metrics.ClassID // per-slot previous interaction, for Markov sessions
+	live    []bool // live[slot] reports whether a client occupies the slot
 	// steps[slot] is the slot's session callback, built once when the
 	// slot is created so scheduling an arrival allocates nothing;
 	// adjustFn is e.adjust bound once for the same reason.
@@ -201,7 +193,6 @@ func (e *Emulator) adjust() {
 	e.target = e.cfg.Load(e.sim.Now().Seconds())
 	for slot := len(e.live); slot < e.target; slot++ {
 		e.live = append(e.live, false)
-		e.last = append(e.last, metrics.ClassID{})
 		e.steps = append(e.steps, func() { e.clientStep(slot) })
 	}
 	// Occupy free slots below the target. Clients exit on their own when
@@ -232,34 +223,20 @@ func mixTotal(mix []MixEntry) float64 {
 	return total
 }
 
-// drawFrom draws one class from mix, whose positive weights sum to total.
-func drawFrom(rng *sim.RNG, mix []MixEntry, total float64) (metrics.ClassID, bool) {
-	if total <= 0 {
-		return metrics.ClassID{}, false
-	}
-	r := rng.Float64() * total
-	for _, entry := range mix {
+// pick draws one class from the mix, whose positive weights sum to
+// e.total (> 0, checked by NewEmulator).
+func (e *Emulator) pick() metrics.ClassID {
+	r := e.rng.Float64() * e.total
+	for _, entry := range e.cfg.Mix {
 		if entry.Weight <= 0 {
 			continue
 		}
 		r -= entry.Weight
 		if r < 0 {
-			return entry.ID, true
+			return entry.ID
 		}
 	}
-	return mix[len(mix)-1].ID, true
-}
-
-func (e *Emulator) pick(slot int) metrics.ClassID {
-	if e.cfg.Transitions != nil && slot < len(e.last) {
-		if row, ok := e.cfg.Transitions[e.last[slot]]; ok {
-			if id, drawn := drawFrom(e.rng, row, mixTotal(row)); drawn {
-				return id
-			}
-		}
-	}
-	id, _ := drawFrom(e.rng, e.cfg.Mix, e.total)
-	return id
+	return e.cfg.Mix[len(e.cfg.Mix)-1].ID
 }
 
 func (e *Emulator) think() float64 {
@@ -282,7 +259,7 @@ func (e *Emulator) clientStep(slot int) {
 		return
 	}
 	now := e.sim.Now().Seconds()
-	class := e.pick(slot)
+	class := e.pick()
 	if e.cfg.OnArrival != nil {
 		e.cfg.OnArrival(now, class)
 	}
@@ -293,7 +270,6 @@ func (e *Emulator) clientStep(slot int) {
 			// client failure: the session backs off one think time and
 			// tries again, like a user retrying a busy site.
 			e.shed++
-			e.last[slot] = class
 			e.sim.ScheduleKind(simcore.KindArrival, e.think(), e.steps[slot])
 			return
 		}
@@ -302,7 +278,6 @@ func (e *Emulator) clientStep(slot int) {
 		e.running--
 		return
 	}
-	e.last[slot] = class
 	e.interactions++
 	wait := (done - now) + e.think()
 	e.sim.ScheduleKind(simcore.KindArrival, wait, e.steps[slot])

@@ -270,61 +270,6 @@ func TestEmulatorDeterminism(t *testing.T) {
 	}
 }
 
-func TestMarkovTransitionsFollowed(t *testing.T) {
-	eng := sim.NewEngine(5)
-	srv := server.MustNew(server.Config{Name: "s1", Cores: 8, MemoryPages: 10000})
-	dbe := engine.MustNew(engine.Config{Name: "e1", Pool: bufferpool.Config{Capacity: 5000}}, srv)
-	a := metrics.ClassID{App: "shop", Class: "A"}
-	b := metrics.ClassID{App: "shop", Class: "B"}
-	c := metrics.ClassID{App: "shop", Class: "C"}
-	app := &cluster.Application{
-		Name: "shop", SLA: sla.Default(),
-		Classes: []engine.ClassSpec{
-			{ID: a, CPUPerQuery: 0.001},
-			{ID: b, CPUPerQuery: 0.001},
-			{ID: c, CPUPerQuery: 0.001},
-		},
-	}
-	sched, err := cluster.NewScheduler(app)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sched.AddReplica(cluster.NewReplica(dbe, srv)); err != nil {
-		t.Fatal(err)
-	}
-	// A always goes to B, B always to C, C always to A: a pure cycle.
-	// All sessions start from the mix (A only).
-	em, err := NewEmulator(eng, sched, Config{
-		Mix:       []MixEntry{{ID: a, Weight: 1}},
-		ThinkTime: 0.1,
-		Load:      Constant(10),
-		Transitions: map[metrics.ClassID][]MixEntry{
-			a: {{ID: b, Weight: 1}},
-			b: {{ID: c, Weight: 1}},
-			c: {{ID: a, Weight: 1}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	em.Start()
-	eng.RunUntil(120)
-	em.Stop()
-	snap := dbe.Snapshot(120)
-	na := snap[a].Get(metrics.Throughput)
-	nb := snap[b].Get(metrics.Throughput)
-	nc := snap[c].Get(metrics.Throughput)
-	if na == 0 || nb == 0 || nc == 0 {
-		t.Fatalf("cycle incomplete: %v %v %v", na, nb, nc)
-	}
-	// On a cycle the three rates converge.
-	for _, pair := range [][2]float64{{na, nb}, {nb, nc}, {nc, na}} {
-		if ratio := pair[0] / pair[1]; ratio < 0.8 || ratio > 1.25 {
-			t.Fatalf("cycle rates diverge: %v %v %v", na, nb, nc)
-		}
-	}
-}
-
 func TestMixSelectionRespectsWeights(t *testing.T) {
 	eng := sim.NewEngine(3)
 	srv := server.MustNew(server.Config{Name: "s1", Cores: 8, MemoryPages: 10000})
