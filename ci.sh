@@ -157,6 +157,32 @@ for seed in 1 2 3; do
 	diff "$BENCH_TMP/det_first.txt" "$BENCH_TMP/det_second.txt"
 done
 
+# Rejected invocations: a flag value outside its documented range must
+# fail before any simulation or suite runs, so with a non-zero exit,
+# nothing on stdout and no suite progress on stderr; -record must not
+# create its file. A run whose requested RUN file cannot be written
+# must exit non-zero too (about 0.4 s on a 2-vCPU linux/amd64 host with
+# the build cache warm).
+rejected() {
+	if "$@" >"$BENCH_TMP/rejected.out" 2>"$BENCH_TMP/rejected.err"; then
+		echo "ci.sh: accepted: $*" >&2
+		exit 1
+	fi
+	if [ -s "$BENCH_TMP/rejected.out" ] || grep -q 'benchrunner: running' "$BENCH_TMP/rejected.err"; then
+		echo "ci.sh: ran before rejecting: $*" >&2
+		exit 1
+	fi
+}
+rejected "$BENCH_TMP/outlierlb" -scenario fig5 -ctrl.drop 1.5
+rejected "$BENCH_TMP/outlierlb" -scenario fig5 -trace.sample NaN
+rejected "$BENCH_TMP/outlierlb" -record "$BENCH_TMP/x.trace" -record-n -1
+test ! -e "$BENCH_TMP/x.trace"
+rejected go run ./cmd/benchrunner -suite.short -tol NaN
+if "$BENCH_TMP/outlierlb" -scenario fig5 -run.out "$BENCH_TMP/missing/RUN.json" >/dev/null 2>&1; then
+	echo "ci.sh: a run whose RUN file could not be written exited 0" >&2
+	exit 1
+fi
+
 # Resilience gate: one adversarial fault (clock skew), one pathological
 # policy (reject-all admission), two control-channel faults (full
 # controller partition, lossy channel under a load pulse), and one

@@ -55,19 +55,30 @@ func main() {
 	resilAssert := flag.Bool("assert", false,
 		"resil mode: fail unless every scorecard is detected, mitigated and recovered within -assert.budget")
 	resilBudget := flag.Float64("assert.budget", 300,
-		"resil mode: maximum acceptable time-to-recover in virtual seconds for -assert")
+		"resil mode: maximum acceptable time-to-recover in virtual seconds for -assert, ≥ 0")
 	out := flag.String("out", "", "suite mode: write results to this BENCH_*.json path")
 	force := flag.Bool("force", false, "suite mode: allow -out to overwrite an existing file")
 	baseline := flag.String("baseline", "", "suite mode: compare against this BENCH_*.json and fail on regressions")
-	tol := flag.Float64("tol", 0.30, "suite mode: fractional regression tolerance for -baseline")
+	tol := flag.Float64("tol", 0.30, "suite mode: fractional regression tolerance for -baseline, ≥ 0")
 	traceSample := flag.Float64("trace.sample", 0,
-		"head-sample this fraction of queries into span traces (0 disables, 1.0 traces everything)")
+		"head-sample this fraction of queries into span traces, in [0, 1] (0 disables, 1.0 traces everything)")
 	runOut := flag.String("run.out", "",
 		"flush a RUN_*.json flight recording (metric time series + sampled traces) to FILE on completion")
 	pprof := flag.Bool("obs.pprof", false, "mount net/http/pprof under /debug/pprof/ on -obs.addr")
 	ctrlFlags := obscli.RegisterCtrlFlags()
 	wlFlags := obscli.RegisterWlFlags()
 	flag.Parse()
+
+	var opts experiments.Options
+	ctrlFlags.Apply(&opts)
+	if err := obscli.CheckFlags(opts.CtrlLink, *traceSample, 0); err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
+	}
+	if err := checkGateFlags(*tol, *resilBudget); err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
+	}
 
 	if *suite || *suiteShort || *resilMode {
 		// These modes never start an obs session, so those flags would be
@@ -105,8 +116,6 @@ func main() {
 		return
 	}
 
-	var opts experiments.Options
-	ctrlFlags.Apply(&opts)
 	if err := wlFlags.Apply(&opts); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(2)
@@ -131,7 +140,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)
 		}
-		session.Finish()
+		if err := session.Finish(); err != nil {
+			fmt.Fprintln(os.Stderr, "benchrunner:", err)
+			os.Exit(1)
+		}
 		session.WaitForInterrupt()
 	}()
 
@@ -154,6 +166,19 @@ func main() {
 		os.Exit(2)
 	}
 	runExp(opts, want, *seed, *csv)
+}
+
+// checkGateFlags rejects gate settings that would blind the gate: a
+// NaN or negative -tol passes every comparison against the baseline,
+// and a NaN or negative -assert.budget fails every scorecard.
+func checkGateFlags(tol, budget float64) error {
+	if !(tol >= 0) {
+		return fmt.Errorf("-tol must be ≥ 0, got %v", tol)
+	}
+	if !(budget >= 0) {
+		return fmt.Errorf("-assert.budget must be ≥ 0, got %v", budget)
+	}
+	return nil
 }
 
 // allOrder is -exp all's run order: registry entries by canonical name,

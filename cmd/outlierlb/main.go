@@ -45,15 +45,15 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	record := flag.String("record", "", "write a synthetic TPC-W page-access trace to FILE and exit")
 	recordApp := flag.String("record-app", "tpcw", "application to record: tpcw|tpcw-noindex|rubis")
-	recordN := flag.Int("record-n", 500000, "accesses to record")
+	recordN := flag.Int("record-n", 500000, "accesses to record (≥ 0)")
 	obsAddr := flag.String("obs.addr", "", "serve /metrics and /debug endpoints on this address (e.g. :9090)")
 	verbose := flag.Bool("v", false, "print each controller decision to stderr as it happens")
 	sigStore := flag.String("sig.store", "",
 		"persist stable-state signatures to FILE: warm-start on launch, save on completion")
 	traceSample := flag.Float64("trace.sample", 0,
-		"head-sample this fraction of queries into span traces (0 disables, 1.0 traces everything)")
+		"head-sample this fraction of queries into span traces, in [0, 1] (0 disables, 1.0 traces everything)")
 	traceRing := flag.Int("trace.ring", 0,
-		"finished traces retained for /debug/trace (0 = default 512)")
+		"finished traces retained for /debug/trace, ≥ 0 (0 = default 512)")
 	runOut := flag.String("run.out", "",
 		"flush a RUN_*.json flight recording (metric time series + sampled traces) to FILE on completion")
 	pprof := flag.Bool("obs.pprof", false, "mount net/http/pprof under /debug/pprof/ on -obs.addr")
@@ -61,11 +61,22 @@ func main() {
 	wlFlags := obscli.RegisterWlFlags()
 	flag.Parse()
 
+	var opts experiments.Options
+	ctrlFlags.Apply(&opts)
+	if err := obscli.CheckFlags(opts.CtrlLink, *traceSample, *traceRing); err != nil {
+		fmt.Fprintln(os.Stderr, "outlierlb:", err)
+		os.Exit(2)
+	}
+
 	if *record != "" {
 		// -record dumps a page-access trace and exits without running a
 		// scenario, so a -wl.* flag would be silently ignored.
 		if name, set := wlFlags.AnySet(); set {
 			fmt.Fprintf(os.Stderr, "outlierlb: %s applies only to scenario runs, not -record\n", name)
+			os.Exit(2)
+		}
+		if err := checkRecordFlags(*recordN); err != nil {
+			fmt.Fprintln(os.Stderr, "outlierlb:", err)
 			os.Exit(2)
 		}
 		if err := recordTrace(*record, *recordApp, *recordN, *seed); err != nil {
@@ -112,8 +123,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(1)
 	}
-	var opts experiments.Options
-	ctrlFlags.Apply(&opts)
 	session.Apply(&opts)
 	if err := wlFlags.Apply(&opts); err != nil {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
@@ -133,7 +142,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "outlierlb:", err)
 		os.Exit(1)
 	}
-	session.Finish()
+	if err := session.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "outlierlb:", err)
+		os.Exit(1)
+	}
 	session.WaitForInterrupt()
 }
 
@@ -329,6 +341,15 @@ func printIOContention(r *experiments.Table3Result) {
 	fmt.Printf("\ndiagnosis from dom-0 statistics: CPU %.0f%% (not saturated); %s contributes %.0f%% of its application's I/O\n",
 		100*r.CPUUtilization, r.TopIOClass, 100*r.TopIOShare)
 	fmt.Println("remedy: reschedule that class onto a different physical machine")
+}
+
+// checkRecordFlags rejects a -record-n no trace can have: a negative
+// access count.
+func checkRecordFlags(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-record-n must be ≥ 0, got %d", n)
+	}
+	return nil
 }
 
 func recordTrace(path, app string, n int, seed uint64) error {

@@ -60,7 +60,10 @@ func main() {
 		now = done + 0.05
 	}
 	interval := now
-	snap := eng.Snapshot(interval)
+	snap := make(map[metrics.ClassID]metrics.Vector)
+	for id, s := range eng.Snapshot(interval, false) {
+		snap[id] = s.Vector
+	}
 	fmt.Println("per-class metrics over one measurement interval:")
 	for _, id := range eng.Classes() {
 		v := snap[id]

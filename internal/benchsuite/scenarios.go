@@ -20,16 +20,14 @@ import (
 	"outlierlb/internal/wltemporal"
 )
 
-// benchClasses registers n query classes with c and returns their ids
-// and accumulation slots.
-func benchClasses(c *metrics.Collector, n int) ([]metrics.ClassID, []metrics.Slot) {
-	ids := make([]metrics.ClassID, n)
+// benchClasses registers n query classes with c and returns their
+// accumulation slots.
+func benchClasses(c *metrics.Collector, n int) []metrics.Slot {
 	slots := make([]metrics.Slot, n)
-	for i := range ids {
-		ids[i] = metrics.ClassID{App: "bench", Class: string(rune('A'+i%26)) + string(rune('a'+i/26))}
-		slots[i] = c.SlotFor(ids[i])
+	for i := range slots {
+		slots[i] = c.SlotFor(metrics.ClassID{App: "bench", Class: string(rune('A'+i%26)) + string(rune('a'+i/26))})
 	}
-	return ids, slots
+	return slots
 }
 
 // benchRecords builds the log records of the given number of queries,
@@ -44,12 +42,12 @@ func benchClasses(c *metrics.Collector, n int) ([]metrics.ClassID, []metrics.Slo
 // pages, 0.32 single-page demand reads and 0.20 single-page
 // write-backs; here 2 queries in 15 miss, one 4 pages with 2
 // write-backs and one 1 page with 1, for 0.33 reads, 0.20 write-backs
-// and 2.67 records per query. Write-back records carry no slot, as the
-// engine's flush hook logs them.
-func benchRecords(ids []metrics.ClassID, slots []metrics.Slot, queries int) []metrics.Record {
+// and 2.67 records per query. Every record carries its class's slot,
+// write-backs included, as the engine logs them.
+func benchRecords(slots []metrics.Slot, queries int) []metrics.Record {
 	var recs []metrics.Record
 	for q := 0; q < queries; q++ {
-		id, slot := ids[q%len(ids)], slotAt(slots, q%len(ids))
+		slot := slots[q%len(slots)]
 		misses, writeBacks := 0, 0
 		switch q % 15 {
 		case 0:
@@ -59,26 +57,17 @@ func benchRecords(ids []metrics.ClassID, slots []metrics.Slot, queries int) []me
 		}
 		for i := 0; i < misses; i++ {
 			if i < writeBacks {
-				recs = append(recs, metrics.Record{Kind: metrics.RecIO, Class: id, Value: 1})
+				recs = append(recs, metrics.Record{Kind: metrics.RecIO, Slot: slot, Value: 1})
 			}
-			recs = append(recs, metrics.Record{Kind: metrics.RecIO, Class: id, Slot: slot, Value: 1})
+			recs = append(recs, metrics.Record{Kind: metrics.RecIO, Slot: slot, Value: 1})
 		}
-		recs = append(recs, metrics.Record{Kind: metrics.RecAccess, Class: id, Slot: slot, Value: 20})
+		recs = append(recs, metrics.Record{Kind: metrics.RecAccess, Slot: slot, Value: 20})
 		if misses > 0 {
-			recs = append(recs, metrics.Record{Kind: metrics.RecMiss, Class: id, Slot: slot, Value: float64(misses)})
+			recs = append(recs, metrics.Record{Kind: metrics.RecMiss, Slot: slot, Value: float64(misses)})
 		}
-		recs = append(recs, metrics.Record{Kind: metrics.RecQuery, Class: id, Slot: slot, Value: 0.01 * float64(1+q%7)})
+		recs = append(recs, metrics.Record{Kind: metrics.RecQuery, Slot: slot, Value: 0.01 * float64(1+q%7)})
 	}
 	return recs
-}
-
-// slotAt tolerates a nil slot slice so the same record builder serves
-// the slotted and the map-fallback scenarios.
-func slotAt(slots []metrics.Slot, k int) metrics.Slot {
-	if slots == nil {
-		return 0
-	}
-	return slots[k]
 }
 
 // intervalMetrics condenses a run's per-interval SLA series into one
@@ -121,9 +110,8 @@ func Suite() []Scenario {
 			Doc:  "append one record to a private §4 logging buffer draining into a collector",
 			Micro: func() (func(int), func()) {
 				c := metrics.NewCollector()
-				ids, slots := benchClasses(c, 16)
-				recs := benchRecords(ids, slots, 192)
-				buf := metrics.NewLogBuffer(4096, metrics.Drain(c))
+				recs := benchRecords(benchClasses(c, 16), 192)
+				buf := metrics.NewLogBuffer(4096, c.Apply)
 				i := 0
 				return func(n int) {
 					for k := 0; k < n; k++ {
@@ -139,23 +127,7 @@ func Suite() []Scenario {
 			Doc:  "fold the 514 records of 192 queries over 16 classes, slotted as the engine logs them, into a collector (one op = one batch)",
 			Micro: func() (func(int), func()) {
 				c := metrics.NewCollector()
-				ids, slots := benchClasses(c, 16)
-				batch := benchRecords(ids, slots, 192)
-				return func(n int) {
-					for k := 0; k < n; k++ {
-						c.Apply(batch)
-					}
-				}, nil
-			},
-		},
-		{
-			Name: "collector-apply-map",
-			Kind: "micro",
-			Doc:  "the same 514-record batch without slots: every record pays the class-map lookup",
-			Micro: func() (func(int), func()) {
-				c := metrics.NewCollector()
-				ids, _ := benchClasses(c, 16)
-				batch := benchRecords(ids, nil, 192)
+				batch := benchRecords(benchClasses(c, 16), 192)
 				return func(n int) {
 					for k := 0; k < n; k++ {
 						c.Apply(batch)
@@ -166,15 +138,14 @@ func Suite() []Scenario {
 		{
 			Name: "collector-snapshot",
 			Kind: "micro",
-			Doc:  "apply one query's records for each of 32 classes (91 records) and close a measurement interval (double-buffered swap + rate computation)",
+			Doc:  "apply one query's records for each of 32 classes (91 records) and close a measurement interval (rate computation + counter reset)",
 			Micro: func() (func(int), func()) {
 				c := metrics.NewCollector()
-				ids, slots := benchClasses(c, 32)
-				batch := benchRecords(ids, slots, 32)
+				batch := benchRecords(benchClasses(c, 32), 32)
 				return func(n int) {
 					for k := 0; k < n; k++ {
 						c.Apply(batch)
-						c.Snapshot(10.0)
+						c.Snapshot(10.0, false)
 					}
 				}, nil
 			},

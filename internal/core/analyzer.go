@@ -25,26 +25,11 @@ func NewLogAnalyzer(eng *engine.Engine) *LogAnalyzer {
 func (a *LogAnalyzer) Engine() *engine.Engine { return a.eng }
 
 // Snapshot returns per-class metric vectors for the past interval,
-// grouped by application.
-func (a *LogAnalyzer) Snapshot(interval float64) map[string]map[metrics.ClassID]metrics.Vector {
-	flat := a.eng.Snapshot(interval)
-	out := make(map[string]map[metrics.ClassID]metrics.Vector)
-	for id, v := range flat {
-		byApp := out[id.App]
-		if byApp == nil {
-			byApp = make(map[metrics.ClassID]metrics.Vector)
-			out[id.App] = byApp
-		}
-		byApp[id] = v
-	}
-	return out
-}
-
-// SnapshotStats is Snapshot with per-class latency distributions
-// attached, for observers that need percentiles alongside the vectors.
-// Like Snapshot it resets the engine's interval counters.
-func (a *LogAnalyzer) SnapshotStats(interval float64) (map[string]map[metrics.ClassID]metrics.Vector, map[metrics.ClassID]metrics.ClassStats) {
-	flat := a.eng.SnapshotStats(interval)
+// grouped by application, and the engine's per-class stats they came
+// from; withHist attaches latency histograms for observers (see
+// engine.Engine.Snapshot). It resets the engine's interval counters.
+func (a *LogAnalyzer) Snapshot(interval float64, withHist bool) (map[string]map[metrics.ClassID]metrics.Vector, map[metrics.ClassID]metrics.ClassStats) {
+	flat := a.eng.Snapshot(interval, withHist)
 	out := make(map[string]map[metrics.ClassID]metrics.Vector)
 	for id, s := range flat {
 		byApp := out[id.App]

@@ -856,14 +856,12 @@ func (a *ctrlAgent) round(now float64) {
 			engInterval = now - last
 		}
 		a.lastDrain[eng] = now
+		grouped, flat := c.analyzer(eng).Snapshot(engInterval, c.observing)
+		er := engineReport{eng: eng, grouped: grouped}
 		if !c.observing {
-			rep.engines = append(rep.engines, engineReport{
-				eng: eng, grouped: c.analyzer(eng).Snapshot(engInterval),
-			})
+			rep.engines = append(rep.engines, er)
 			continue
 		}
-		grouped, flat := c.analyzer(eng).SnapshotStats(engInterval)
-		er := engineReport{eng: eng, grouped: grouped}
 		ids := make([]metrics.ClassID, 0, len(flat))
 		for id := range flat {
 			if flat[id].Latency.Count > 0 {

@@ -174,7 +174,8 @@ func (c *Controller) DiagnoseScheduler(now float64, sched *cluster.Scheduler, in
 	var out []*DiagnosisReport
 	app := sched.App().Name
 	for _, r := range sched.Replicas() {
-		current := c.analyzer(r.Engine()).Snapshot(interval)[app]
+		grouped, _ := c.analyzer(r.Engine()).Snapshot(interval, false)
+		current := grouped[app]
 		out = append(out, c.Diagnose(now, app, r.Server(), current))
 	}
 	return out

@@ -11,13 +11,15 @@
 // is not safe for concurrent use. Every event is logged inline through
 // one private metrics.LogBuffer into one metrics.Collector, and access
 // windows are updated during Execute, so results are deterministic and
-// bit-identical run to run. Snapshot and SnapshotStats flush the logging
-// buffer first, so they observe every record emitted before the call.
+// bit-identical run to run. Snapshot flushes the logging buffer first, so
+// it observes every record emitted before the call.
 package engine
 
 import (
 	"fmt"
+	"maps"
 	"sort"
+	"strings"
 
 	"outlierlb/internal/bufferpool"
 	"outlierlb/internal/lockmgr"
@@ -117,7 +119,6 @@ type Engine struct {
 	// Per-execution scratch used by the pool's miss hook.
 	curNow    float64
 	curIODone float64
-	curClass  metrics.ClassID
 	curSlot   metrics.Slot
 
 	// tracer, when non-nil, lets Execute attach service-phase spans
@@ -135,11 +136,10 @@ type Engine struct {
 	phGrantAt, phCPUDoneAt, phIODoneAt           float64
 
 	// report, when non-nil, corrupts the engine's snapshot transport
-	// (see ReportFault); the caches hold the last truthful snapshot for
+	// (see ReportFault); frozen holds the last truthful snapshot for
 	// frozen re-delivery. Nil on every honest engine.
-	report    *ReportFault
-	frozenVec map[metrics.ClassID]metrics.Vector
-	frozenSts map[metrics.ClassID]metrics.ClassStats
+	report *ReportFault
+	frozen map[metrics.ClassID]metrics.ClassStats
 }
 
 // classState is everything the engine keeps per query class, resolved
@@ -177,8 +177,8 @@ type classState struct {
 // exactly like a real engine whose internal counters keep cycling while
 // the export path misbehaves.
 type ReportFault struct {
-	// LatencyScale multiplies reported per-class latency (vector Latency
-	// slot; mean/percentiles in stats snapshots). 0 or 1 disables.
+	// LatencyScale multiplies reported per-class latency: the vector's
+	// Latency and the latency summary. 0 or 1 disables.
 	LatencyScale float64
 	// Freeze re-delivers the first snapshot taken after installation on
 	// every later call — a duplicated interval, repeated.
@@ -191,8 +191,7 @@ type ReportFault struct {
 // fault on the engine's reporting path.
 func (e *Engine) SetReportFault(f *ReportFault) {
 	e.report = f
-	e.frozenVec = nil
-	e.frozenSts = nil
+	e.frozen = nil
 }
 
 // New returns an engine running on host.
@@ -215,7 +214,7 @@ func New(cfg Config, host Host) (*Engine, error) {
 		collector: metrics.NewCollector(),
 		classes:   make(map[metrics.ClassID]*classState),
 	}
-	e.logbuf = metrics.NewLogBuffer(logBufferSize, metrics.Drain(e.collector))
+	e.logbuf = metrics.NewLogBuffer(logBufferSize, e.collector.Apply)
 	e.phaseQ = simcore.NewQueue()
 	e.onLockGrant = func() {
 		if e.phSpanLock != nil {
@@ -240,29 +239,20 @@ func New(cfg Config, host Host) (*Engine, error) {
 		if done > e.curIODone {
 			e.curIODone = done
 		}
-		e.logbuf.Append(metrics.Record{Kind: metrics.RecIO, Class: e.curClass, Slot: e.curSlot, Value: float64(pages)})
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecIO, Slot: e.curSlot, Value: float64(pages)})
 	})
 	pool.OnFlush(func(class string, pages int) {
 		// Dirty-page write-back is asynchronous: it occupies the disk
 		// (queueing other requests behind it) but does not extend the
 		// evicting query's latency. The I/O is charged to the class that
-		// dirtied the page.
+		// dirtied the page, named by its pool key, ClassID.String();
+		// Register created every class in the pool.
 		e.host.ReadPages(e.curNow, class, pages)
-		if id, ok := parseClassKey(class); ok {
-			e.logbuf.Append(metrics.Record{Kind: metrics.RecIO, Class: id, Value: float64(pages)})
-		}
+		app, name, _ := strings.Cut(class, "/")
+		c := e.classes[metrics.ClassID{App: app, Class: name}]
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecIO, Slot: c.slot, Value: float64(pages)})
 	})
 	return e, nil
-}
-
-// parseClassKey inverts metrics.ClassID.String ("app/class").
-func parseClassKey(key string) (metrics.ClassID, bool) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			return metrics.ClassID{App: key[:i], Class: key[i+1:]}, true
-		}
-	}
-	return metrics.ClassID{}, false
 }
 
 // MustNew is New for known-valid configurations.
@@ -384,11 +374,11 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 			start = e.locks.WaitShared(now, key, spec.LockTable)
 		}
 		if wait := start - now; wait > 0 {
-			e.logbuf.Append(metrics.Record{Kind: metrics.RecLockWait, Class: id, Slot: c.slot, Value: wait})
+			e.logbuf.Append(metrics.Record{Kind: metrics.RecLockWait, Slot: c.slot, Value: wait})
 		}
 	}
 
-	e.curNow, e.curIODone, e.curClass, e.curSlot = start, start, id, c.slot
+	e.curNow, e.curIODone, e.curSlot = start, start, c.slot
 	prefetched := 0
 	hits := 0
 	for i := 0; i < spec.PagesPerQuery; i++ {
@@ -408,13 +398,13 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 	// The page stream reaches the MRC through the access window; the
 	// log carries only the query's access and miss counts (§4).
 	if spec.PagesPerQuery > 0 {
-		e.logbuf.Append(metrics.Record{Kind: metrics.RecAccess, Class: id, Slot: c.slot, Value: float64(spec.PagesPerQuery)})
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecAccess, Slot: c.slot, Value: float64(spec.PagesPerQuery)})
 		if misses := spec.PagesPerQuery - hits; misses > 0 {
-			e.logbuf.Append(metrics.Record{Kind: metrics.RecMiss, Class: id, Slot: c.slot, Value: float64(misses)})
+			e.logbuf.Append(metrics.Record{Kind: metrics.RecMiss, Slot: c.slot, Value: float64(misses)})
 		}
 	}
 	if prefetched > 0 {
-		e.logbuf.Append(metrics.Record{Kind: metrics.RecReadAhead, Class: id, Slot: c.slot, Value: float64(prefetched)})
+		e.logbuf.Append(metrics.Record{Kind: metrics.RecReadAhead, Slot: c.slot, Value: float64(prefetched)})
 	}
 
 	cpuWork := spec.CPUPerQuery + float64(spec.PagesPerQuery)*spec.CPUPerPage
@@ -428,7 +418,7 @@ func (e *Engine) Execute(now float64, id metrics.ClassID) (done float64, err err
 		}
 		sp.Finish(done)
 	}
-	e.logbuf.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Slot: c.slot, Value: done - now})
+	e.logbuf.Append(metrics.Record{Kind: metrics.RecQuery, Slot: c.slot, Value: done - now})
 	c.observeLatency(done - now)
 	return done, nil
 }
@@ -513,75 +503,39 @@ func (e *Engine) LatencyEstimate(id metrics.ClassID) float64 {
 // Locks exposes the engine's lock manager (for contention diagnosis).
 func (e *Engine) Locks() *lockmgr.Manager { return e.locks }
 
-// Snapshot flushes the logging buffer and returns per-class metric
-// vectors for a measurement interval of the given length in seconds,
-// resetting the interval counters.
-func (e *Engine) Snapshot(interval float64) map[metrics.ClassID]metrics.Vector {
+// Snapshot flushes the logging buffer and returns per-class stats for a
+// measurement interval of the given length in seconds, resetting the
+// interval counters; withHist attaches each active class's latency
+// histogram (see metrics.Collector.Snapshot). An installed ReportFault
+// then corrupts what is reported.
+func (e *Engine) Snapshot(interval float64, withHist bool) map[metrics.ClassID]metrics.ClassStats {
 	e.logbuf.Flush()
-	snap := e.collector.Snapshot(interval)
-	if f := e.report; f != nil {
-		if f.Drop {
-			return map[metrics.ClassID]metrics.Vector{}
-		}
-		if f.Freeze {
-			if e.frozenVec == nil {
-				frozen := make(map[metrics.ClassID]metrics.Vector, len(snap))
-				for id, v := range snap {
-					frozen[id] = v
-				}
-				e.frozenVec = frozen
-			}
-			snap = make(map[metrics.ClassID]metrics.Vector, len(e.frozenVec))
-			for id, v := range e.frozenVec {
-				snap[id] = v
-			}
-		}
-		if f.LatencyScale > 0 && f.LatencyScale != 1 {
-			for id, v := range snap {
-				v[metrics.Latency] *= f.LatencyScale
-				snap[id] = v
-			}
-		}
+	snap := e.collector.Snapshot(interval, withHist)
+	f := e.report
+	if f == nil {
+		return snap
 	}
-	return snap
-}
-
-// SnapshotStats is Snapshot with per-class latency distributions
-// attached. Like Snapshot it resets the interval counters; call one or
-// the other per interval, not both.
-func (e *Engine) SnapshotStats(interval float64) map[metrics.ClassID]metrics.ClassStats {
-	e.logbuf.Flush()
-	snap := e.collector.SnapshotStats(interval)
-	if f := e.report; f != nil {
-		if f.Drop {
-			return map[metrics.ClassID]metrics.ClassStats{}
+	if f.Drop {
+		return map[metrics.ClassID]metrics.ClassStats{}
+	}
+	if f.Freeze {
+		if e.frozen == nil {
+			e.frozen = snap
 		}
-		if f.Freeze {
-			if e.frozenSts == nil {
-				frozen := make(map[metrics.ClassID]metrics.ClassStats, len(snap))
-				for id, s := range snap {
-					frozen[id] = s
-				}
-				e.frozenSts = frozen
-			}
-			snap = make(map[metrics.ClassID]metrics.ClassStats, len(e.frozenSts))
-			for id, s := range e.frozenSts {
-				snap[id] = s
-			}
-		}
-		if f.LatencyScale > 0 && f.LatencyScale != 1 {
-			// Scale the summary the analyzer reads; the histogram (a
-			// private per-interval copy) is left untouched — a real buggy
-			// exporter scales its headline numbers, not every bucket.
-			for id, s := range snap {
-				s.Vector[metrics.Latency] *= f.LatencyScale
-				s.Latency.Mean *= f.LatencyScale
-				s.Latency.P50 *= f.LatencyScale
-				s.Latency.P95 *= f.LatencyScale
-				s.Latency.P99 *= f.LatencyScale
-				s.Latency.Max *= f.LatencyScale
-				snap[id] = s
-			}
+		snap = maps.Clone(e.frozen)
+	}
+	if f.LatencyScale > 0 && f.LatencyScale != 1 {
+		// Scale the headline numbers; the histogram (a private
+		// per-interval copy) is left untouched — a real buggy exporter
+		// scales its headline numbers, not every bucket.
+		for id, s := range snap {
+			s.Vector[metrics.Latency] *= f.LatencyScale
+			s.Latency.Mean *= f.LatencyScale
+			s.Latency.P50 *= f.LatencyScale
+			s.Latency.P95 *= f.LatencyScale
+			s.Latency.P99 *= f.LatencyScale
+			s.Latency.Max *= f.LatencyScale
+			snap[id] = s
 		}
 	}
 	return snap

@@ -152,8 +152,8 @@ func TestExecuteRecordsMetrics(t *testing.T) {
 	if _, err := e.Execute(1, best); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot(10)
-	v, ok := snap[best]
+	s, ok := e.Snapshot(10, false)[best]
+	v := s.Vector
 	if !ok {
 		t.Fatal("class missing from snapshot")
 	}
@@ -212,8 +212,8 @@ func TestReadAheadLoggedAsPrefetch(t *testing.T) {
 	if _, err := e.Execute(0, best); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.Snapshot(1)
-	if snap[best].Get(metrics.ReadAhead) == 0 {
+	snap := e.Snapshot(1, false)
+	if snap[best].Vector.Get(metrics.ReadAhead) == 0 {
 		t.Fatal("sequential scan logged no read-ahead")
 	}
 }
@@ -299,8 +299,8 @@ func TestReadWaitsForWriterLock(t *testing.T) {
 	if done < 0.4 {
 		t.Fatalf("reader finished at %v, should have waited for the lock until 0.4", done)
 	}
-	snap := e.Snapshot(1)
-	if snap[r].Get(metrics.LockWait) <= 0 {
+	snap := e.Snapshot(1, false)
+	if snap[r].Vector.Get(metrics.LockWait) <= 0 {
 		t.Fatal("reader lock wait not recorded")
 	}
 	// Two readers do not serialize among themselves.
@@ -343,5 +343,53 @@ func TestEngineOnVMHost(t *testing.T) {
 	}
 	if s.Disk().Requests() != 1 {
 		t.Fatalf("dom-0 saw %d requests, want 1", s.Disk().Requests())
+	}
+}
+
+// TestWriteBackChargedToDirtyingClass checks that the write-back of an
+// evicted dirty page is charged to the class that dirtied it, not to
+// the class whose miss evicted it, and that a class enters snapshots
+// with its first query, not with its registration.
+func TestWriteBackChargedToDirtyingClass(t *testing.T) {
+	e := newTestEngine(t, 8)
+	writer := metrics.ClassID{App: "shop", Class: "UpdateStock"}
+	reader := metrics.ClassID{App: "shop", Class: "ScanOrders"}
+	idle := metrics.ClassID{App: "shop", Class: "Idle"}
+	for _, spec := range []ClassSpec{
+		{ID: writer, Write: true, PagesPerQuery: 8, Pattern: &trace.SequentialScan{Span: 8}},
+		{ID: reader, PagesPerQuery: 16, Pattern: &trace.SequentialScan{Base: 1000, Span: 16}},
+		{ID: idle, CPUPerQuery: 0.001},
+	} {
+		if err := e.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The writer dirties the whole pool; the reader's scan then evicts
+	// every dirty page.
+	if _, err := e.Execute(0, writer); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(1, reader); err != nil {
+		t.Fatal(err)
+	}
+	snap := e.Snapshot(1, false)
+	if got := snap[writer].Vector.Get(metrics.IORequests); got != 16 {
+		t.Errorf("writer I/O = %v, want 16 (8 demand reads + 8 write-backs)", got)
+	}
+	if got := snap[reader].Vector.Get(metrics.IORequests); got != 16 {
+		t.Errorf("reader I/O = %v, want 16 demand reads", got)
+	}
+	if _, ok := snap[idle]; ok {
+		t.Error("registered class that never ran is in the snapshot")
+	}
+	if _, err := e.Execute(2, idle); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Snapshot(1, false)[idle].Vector.Get(metrics.Throughput); got != 1 {
+		t.Errorf("idle class after one query: throughput %v, want 1", got)
+	}
+	s, ok := e.Snapshot(1, false)[idle]
+	if !ok || s.Vector != (metrics.Vector{}) {
+		t.Errorf("idle interval: reported %v, vector %v; want a zero vector", ok, s.Vector)
 	}
 }

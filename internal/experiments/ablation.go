@@ -331,7 +331,8 @@ func (o Options) indexDropSnapshots(seed uint64) (current, stable map[metrics.Cl
 	tb.sim.RunUntil(warmup)
 	eng := sched.Replicas()[0].Engine()
 	analyzer := core.NewLogAnalyzer(eng)
-	stable = analyzer.Snapshot(warmup)[tpcw.AppName]
+	grouped, _ := analyzer.Snapshot(warmup, false)
+	stable = grouped[tpcw.AppName]
 	dropped := tpcw.New(rng, tpcw.Options{DropODateIndex: true})
 	for _, spec := range dropped.Classes {
 		if spec.ID.Class == tpcw.BestSellerClass {
@@ -342,7 +343,8 @@ func (o Options) indexDropSnapshots(seed uint64) (current, stable map[metrics.Cl
 	}
 	tb.sim.RunUntil(warmup + measure)
 	em.Stop()
-	current = analyzer.Snapshot(measure)[tpcw.AppName]
+	grouped, _ = analyzer.Snapshot(measure, false)
+	current = grouped[tpcw.AppName]
 	return current, stable
 }
 
@@ -377,7 +379,8 @@ func (o Options) AblationFences(seed uint64) []FenceSweepPoint {
 	tb.sim.RunUntil(warmup)
 	eng := sched.Replicas()[0].Engine()
 	analyzer := core.NewLogAnalyzer(eng)
-	stable := analyzer.Snapshot(warmup)[tpcw.AppName]
+	grouped, _ := analyzer.Snapshot(warmup, false)
+	stable := grouped[tpcw.AppName]
 
 	dropped := tpcw.New(rng, tpcw.Options{DropODateIndex: true})
 	for _, spec := range dropped.Classes {
@@ -389,7 +392,8 @@ func (o Options) AblationFences(seed uint64) []FenceSweepPoint {
 	}
 	tb.sim.RunUntil(warmup + measure)
 	em.Stop()
-	current := analyzer.Snapshot(measure)[tpcw.AppName]
+	grouped, _ = analyzer.Snapshot(measure, false)
+	current := grouped[tpcw.AppName]
 
 	var out []FenceSweepPoint
 	for _, inner := range []float64{0.5, 1.0, 1.5, 2.0, 3.0, 4.5} {

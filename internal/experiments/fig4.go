@@ -60,7 +60,8 @@ func (o Options) Figure4(seed uint64) *Figure4Result {
 	sched.Tracker().CloseInterval(warmup, warmup)
 	eng := sched.Replicas()[0].Engine()
 	analyzer := core.NewLogAnalyzer(eng)
-	stable := analyzer.Snapshot(warmup)[tpcw.AppName]
+	grouped, _ := analyzer.Snapshot(warmup, false)
+	stable := grouped[tpcw.AppName]
 	// Stable MRC parameters per class, for the confirmation step.
 	stableMRC := make(map[metrics.ClassID]paramsOK)
 	for id := range stable {
@@ -81,7 +82,8 @@ func (o Options) Figure4(seed uint64) *Figure4Result {
 	tb.sim.RunUntil(warmup + measure)
 	em.Stop()
 	measured := sched.Tracker().CloseInterval(warmup, warmup+measure)
-	current := analyzer.Snapshot(measure)[tpcw.AppName]
+	grouped, _ = analyzer.Snapshot(measure, false)
+	current := grouped[tpcw.AppName]
 
 	res := &Figure4Result{Measured: measured}
 	ratio := func(cur, st float64) float64 {

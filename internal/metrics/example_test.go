@@ -11,17 +11,18 @@ import (
 // batch, not once per event.
 func ExampleLogBuffer() {
 	c := metrics.NewCollector()
-	buf := metrics.NewLogBuffer(3, metrics.Drain(c))
+	buf := metrics.NewLogBuffer(3, c.Apply)
 
 	id := metrics.ClassID{App: "shop", Class: "Report"}
+	slot := c.SlotFor(id)
 	for i := 0; i < 7; i++ {
-		buf.Append(metrics.Record{Kind: metrics.RecQuery, Class: id, Value: 0.010})
+		buf.Append(metrics.Record{Kind: metrics.RecQuery, Slot: slot, Value: 0.010})
 	}
 	fmt.Printf("batched flushes: %d, still buffered: %d\n", buf.Flushes(), buf.Len())
 
 	buf.Flush() // thread shutdown: deliver the partial batch
-	snap := c.Snapshot(1.0)
-	fmt.Printf("queries this interval: %.0f\n", snap[id].Get(metrics.Throughput))
+	snap := c.Snapshot(1.0, false)
+	fmt.Printf("queries this interval: %.0f\n", snap[id].Vector.Get(metrics.Throughput))
 	// Output:
 	// batched flushes: 2, still buffered: 1
 	// queries this interval: 7

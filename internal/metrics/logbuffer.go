@@ -23,15 +23,12 @@ const (
 	RecLockWait                    // a lock acquisition; Value = wait seconds
 )
 
-// Record is one logged event. Producers that accumulate into the same
-// collector for many records of one class can stamp Slot (obtained once
-// per class from Collector.SlotFor) to skip the per-record class-map
-// lookup on the accumulation path; a zero Slot always falls back to the
-// map.
+// Record is one logged event of the query class whose Slot it carries;
+// the slot comes from Collector.SlotFor of the collector the record is
+// folded into.
 type Record struct {
 	Kind  RecordKind
 	Slot  Slot
-	Class ClassID
 	Value float64
 }
 
@@ -87,10 +84,3 @@ func (b *LogBuffer) Len() int { return len(b.buf) }
 // Flushes reports how many non-empty flushes have occurred, which tests
 // use to verify the batching behaviour.
 func (b *LogBuffer) Flushes() int { return b.flushes }
-
-// Drain applies a batch of records to a collector. It is the standard
-// flush target wiring a per-thread buffer to the engine's collector; the
-// whole batch is folded in under a single lock acquisition.
-func Drain(c *Collector) func([]Record) {
-	return c.Apply
-}

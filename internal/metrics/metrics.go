@@ -4,9 +4,10 @@
 // (prefetch) requests, plus a window of the most recent page accesses per
 // query class.
 //
-// Collection is tied to query class contexts: every sample carries the
-// query class it belongs to, and Snapshot produces one metric vector per
-// class for each measurement interval.
+// Collection is tied to query class contexts: every record carries the
+// slot of the query class it belongs to, and Snapshot produces one
+// metric vector, with its latency summary, per class for each
+// measurement interval.
 //
 // # Concurrency and ownership
 //
@@ -16,13 +17,12 @@
 //   - LogBuffer is strictly single-owner: one goroutine appends, and the
 //     flush callback runs on that same goroutine. It is the lock-free
 //     per-thread buffer of the paper.
-//   - Collector is safe for concurrent use. Writers should batch through
-//     a LogBuffer whose flush target is Collector.Apply, which takes the
-//     internal lock once per batch rather than once per record. Snapshot
-//     and SnapshotStats swap double-buffered accumulator maps under the
-//     lock in O(classes) pointer operations and do all rate computation
-//     outside it, so readers never stall writers for the duration of a
-//     snapshot.
+//   - Collector is safe for concurrent use. Writers batch through a
+//     LogBuffer whose flush target is Collector.Apply, which takes the
+//     internal lock once per batch rather than once per record and
+//     folds each record into the slice entry of its slot. Snapshot
+//     holds the same lock while it computes the interval's rates and
+//     resets the counters.
 //
 // AccessWindow and Histogram are plain single-owner data structures.
 // In this repository each engine owns one LogBuffer, one Collector and
@@ -101,6 +101,10 @@ func (c ClassID) String() string { return c.App + "/" + c.Class }
 // (cleared, not reallocated) so steady-state snapshots allocate nothing
 // per class.
 type classAccum struct {
+	id ClassID
+	// seen is set by the class's first record; from then on every
+	// snapshot reports the class, at a zero vector when it is idle.
+	seen        bool
 	queries     int64
 	latencySum  float64
 	misses      int64
@@ -111,17 +115,18 @@ type classAccum struct {
 	latencies   *Histogram
 }
 
+// reset zeroes the interval counters, keeping the class's identity and
+// its histogram.
 func (a *classAccum) reset() {
-	h := a.latencies
-	*a = classAccum{latencies: h}
-	if h != nil {
-		h.Reset()
+	if a.queries > 0 {
+		a.latencies.Reset()
 	}
+	*a = classAccum{id: a.id, seen: a.seen, latencies: a.latencies}
 }
 
-// fold accumulates one record. The caller has already resolved which
-// class accumulator the record belongs to.
+// fold accumulates one record.
 func (a *classAccum) fold(r Record) {
+	a.seen = true
 	switch r.Kind {
 	case RecQuery:
 		a.queries++
@@ -143,165 +148,62 @@ func (a *classAccum) fold(r Record) {
 	}
 }
 
-// Slot is a dense per-collector class index handed out by SlotFor. A
-// slotted Record skips the per-record map lookup on the accumulation hot
-// path in favour of a slice index. The zero Slot means "unassigned" and
-// always falls back to the class map, so producers that never learn
-// their slot keep working unchanged.
+// Slot is a dense per-collector class index handed out by SlotFor; every
+// Record carries the slot of its class. The zero Slot is invalid: a
+// record logged without its slot panics when folded instead of
+// crediting another class.
 //
 // A Slot is only meaningful to the Collector that issued it: records
-// carrying a slot must be applied to exactly that collector. Applying a
-// foreign slot silently credits another class.
+// must be applied to exactly that collector. Another collector credits
+// whichever of its classes holds the same slot, or panics if none does.
 type Slot int32
 
 // Collector accumulates per-query-class samples and produces per-interval
-// metric vectors. It is safe for concurrent use: record methods take an
-// internal mutex (Apply amortizes it over a whole batch), and snapshots
-// swap double-buffered accumulator maps under the lock — an O(classes)
-// pointer exchange — then compute all rates outside it, so a reader
-// closing an interval never stalls writers behind per-class histogram
-// work.
+// metric vectors. It is safe for concurrent use: SlotFor, Apply and
+// Snapshot each hold an internal mutex, and Apply takes it once per
+// batch.
 type Collector struct {
-	mu    sync.Mutex
-	accum map[ClassID]*classAccum
-	// spare is the detached buffer of the previous snapshot, kept with
-	// zeroed counters (and every known class's entry) so the next swap
-	// reuses it instead of reallocating — the "double" of the double
-	// buffer.
-	spare map[ClassID]*classAccum
-	// slots maps each class to its dense SlotFor index; assignments are
+	mu sync.Mutex
+	// slots maps each class to its SlotFor index; assignments are
 	// permanent for the collector's lifetime.
 	slots map[ClassID]Slot
-	// bySlot caches slot→accumulator for the *current* front buffer. It
-	// is invalidated (cleared, not reallocated) on every buffer swap and
-	// refilled lazily by accumFor, bounding the cost of the cache to one
-	// map lookup per class per interval.
-	bySlot []*classAccum
+	// classes[s-1] accumulates the records of slot s.
+	classes []classAccum
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{accum: make(map[ClassID]*classAccum)}
+	return &Collector{slots: make(map[ClassID]Slot)}
 }
 
-// get returns the accumulator for id; callers must hold c.mu.
-func (c *Collector) get(id ClassID) *classAccum {
-	a := c.accum[id]
-	if a == nil {
-		a = &classAccum{}
-		c.accum[id] = a
-	}
-	return a
-}
-
-// SlotFor returns the dense accumulation slot for id, assigning one on
-// first use. Producers resolve the slot once per class and stamp it on
-// their Records so the accumulation hot path indexes a slice instead of
-// hashing the ClassID per record. Slots are never reused or invalidated.
+// SlotFor returns the accumulation slot for id, assigning one on first
+// use. Producers resolve the slot once per class and stamp it on their
+// Records, so the fold indexes a slice instead of hashing the ClassID
+// per record. Slots are never reused or invalidated. Assigning a slot
+// does not make the class appear in snapshots; its first record does.
 func (c *Collector) SlotFor(id ClassID) Slot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if s, ok := c.slots[id]; ok {
 		return s
 	}
-	if c.slots == nil {
-		c.slots = make(map[ClassID]Slot)
-	}
-	s := Slot(len(c.slots) + 1)
+	c.classes = append(c.classes, classAccum{id: id})
+	s := Slot(len(c.classes))
 	c.slots[id] = s
 	return s
 }
 
-// accumFor resolves the accumulator for r, preferring the record's
-// pre-resolved slot over the class-map lookup; callers must hold c.mu.
-// The bySlot cache is cleared on every buffer swap, so a slotted class
-// pays the map exactly once per interval and a slice index thereafter.
-func (c *Collector) accumFor(r Record) *classAccum {
-	if s := int(r.Slot); s > 0 {
-		if s <= len(c.bySlot) {
-			if a := c.bySlot[s-1]; a != nil {
-				return a
-			}
-		}
-		a := c.get(r.Class)
-		for len(c.bySlot) < s {
-			c.bySlot = append(c.bySlot, nil)
-		}
-		c.bySlot[s-1] = a
-		return a
-	}
-	return c.get(r.Class)
-}
-
-// apply folds one record into the accumulators; callers must hold c.mu.
-func (c *Collector) apply(r Record) {
-	c.accumFor(r).fold(r)
-}
-
 // Apply folds a batch of records into the collector under one lock
 // acquisition. It is the flush target wiring a private LogBuffer to a
-// collector (see Drain) and the reason batched producers see the mutex
-// once per buffer fill rather than once per event.
+// collector and the reason batched producers see the mutex once per
+// buffer fill rather than once per event. A record whose Slot this
+// collector did not issue, the zero Slot included, panics.
 func (c *Collector) Apply(batch []Record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range batch {
-		c.apply(r)
+		c.classes[r.Slot-1].fold(r)
 	}
-}
-
-// RecordQuery records a completed query of class id with the given latency
-// in seconds.
-func (c *Collector) RecordQuery(id ClassID, latency float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.apply(Record{Kind: RecQuery, Class: id, Value: latency})
-}
-
-// RecordAccess records a logical page access; miss reports whether it
-// missed in the buffer pool. It logs the same count records a query's
-// accesses produce: one access, plus one miss when it missed.
-func (c *Collector) RecordAccess(id ClassID, miss bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.apply(Record{Kind: RecAccess, Class: id, Value: 1})
-	if miss {
-		c.apply(Record{Kind: RecMiss, Class: id, Value: 1})
-	}
-}
-
-// RecordLockWait records seconds spent waiting for a lock on behalf of
-// id.
-func (c *Collector) RecordLockWait(id ClassID, seconds float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.apply(Record{Kind: RecLockWait, Class: id, Value: seconds})
-}
-
-// RecordIO records n I/O block requests issued on behalf of id.
-func (c *Collector) RecordIO(id ClassID, n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.apply(Record{Kind: RecIO, Class: id, Value: float64(n)})
-}
-
-// RecordReadAhead records n read-ahead (prefetch) requests issued on
-// behalf of id.
-func (c *Collector) RecordReadAhead(id ClassID, n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.apply(Record{Kind: RecReadAhead, Class: id, Value: float64(n)})
-}
-
-// Queries reports the number of completed queries recorded for id in the
-// current interval.
-func (c *Collector) Queries(id ClassID) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if a := c.accum[id]; a != nil {
-		return a.queries
-	}
-	return 0
 }
 
 // LatencySummary condenses one query class's per-query latency
@@ -318,139 +220,68 @@ type LatencySummary struct {
 }
 
 // ClassStats couples a class's per-interval metric vector with its
-// latency distribution — the Vector-adjacent snapshot data consumers use
-// when average latency alone is not enough.
+// latency distribution, for consumers that need more than the average
+// latency.
 type ClassStats struct {
 	Vector  Vector
 	Latency LatencySummary
-	// Hist is an independent copy of the interval's latency histogram
-	// (nil when the class completed no queries); receivers may retain
-	// and merge it.
+	// Hist is an independent copy of the interval's latency histogram,
+	// set only when the snapshot asked for it and the class completed
+	// queries; receivers may retain and merge it.
 	Hist *Histogram
 }
 
-// checkInterval rejects non-positive measurement intervals. Rates divided
-// by a zero or negative interval are silently wrong in every consumer
-// (outlier detection would compare garbage ratios), so this is a
-// programming error worth a panic rather than a coerced default.
-func checkInterval(interval float64) {
-	if interval <= 0 {
+// Snapshot converts the counters accumulated over an interval of the
+// given length (seconds) into per-class stats, then resets the counters
+// for the next interval. A class is reported from its first record on;
+// in an interval without activity it gets a zero vector, so stable-state
+// signatures keep an entry for idle classes. withHist attaches an
+// independent copy of each active class's latency histogram, an
+// allocation only observers need. An interval that is not positive
+// (NaN included) panics: rates divided by it would be silently wrong in
+// every consumer.
+func (c *Collector) Snapshot(interval float64, withHist bool) map[ClassID]ClassStats {
+	if !(interval > 0) {
 		panic(fmt.Sprintf("metrics: Snapshot requires a positive interval in seconds, got %v", interval))
 	}
-}
-
-// Snapshot converts the counters accumulated over an interval of the given
-// length (seconds) into one metric vector per query class, then resets the
-// collector for the next interval. Classes with no activity yield a zero
-// vector and are still reported, so stable-state signatures keep an entry
-// for idle classes. A non-positive interval panics.
-func (c *Collector) Snapshot(interval float64) map[ClassID]Vector {
-	stats := c.snapshotStats(interval, false)
-	out := make(map[ClassID]Vector, len(stats))
-	for id, s := range stats {
-		out[id] = s.Vector
-	}
-	return out
-}
-
-// SnapshotStats is Snapshot with the per-class latency distributions
-// attached. Like Snapshot it resets the collector; call one or the other
-// per interval, not both.
-func (c *Collector) SnapshotStats(interval float64) map[ClassID]ClassStats {
-	return c.snapshotStats(interval, true)
-}
-
-// snapshotStats implements both snapshot flavours; withHist controls
-// whether per-class histogram copies are made (an allocation the plain
-// vector path should not pay). The lock is held only for the buffer
-// swap; the per-class computation runs on the detached buffer.
-func (c *Collector) snapshotStats(interval float64, withHist bool) map[ClassID]ClassStats {
-	checkInterval(interval)
-	taken := c.takeAccums()
-	out := computeStats(taken, interval, withHist)
-	c.releaseAccums(taken)
-	return out
-}
-
-// takeAccums detaches the current accumulator map and installs the spare
-// in its place. Every class known to the outgoing buffer gets an entry in
-// the incoming one, so idle classes keep appearing in snapshots (Snapshot
-// promises a zero vector for them) even though the maps alternate.
-func (c *Collector) takeAccums() map[ClassID]*classAccum {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	front := c.accum
-	back := c.spare
-	if back == nil {
-		back = make(map[ClassID]*classAccum, len(front))
-	}
-	for id := range front {
-		if _, ok := back[id]; !ok {
-			back[id] = &classAccum{}
+	out := make(map[ClassID]ClassStats, len(c.classes))
+	for i := range c.classes {
+		a := &c.classes[i]
+		if !a.seen {
+			continue
 		}
-	}
-	c.accum = back
-	c.spare = nil
-	// The slot cache points into the detached buffer; invalidate it so
-	// slotted records re-resolve against the incoming one.
-	clear(c.bySlot)
-	return front
-}
-
-// releaseAccums zeroes a detached buffer and stores it as the spare for
-// the next swap. Resetting happens outside the lock: histograms clear in
-// O(buckets) per class, which writers should not wait behind.
-func (c *Collector) releaseAccums(m map[ClassID]*classAccum) {
-	for _, a := range m {
+		out[a.id] = a.stats(interval, withHist)
 		a.reset()
 	}
-	c.mu.Lock()
-	if c.spare == nil {
-		c.spare = m
-	}
-	c.mu.Unlock()
+	return out
 }
 
-// computeStats turns detached accumulators into per-class stats. It does
-// not reset the accumulators.
-func computeStats(accums map[ClassID]*classAccum, interval float64, withHist bool) map[ClassID]ClassStats {
-	out := make(map[ClassID]ClassStats, len(accums))
-	for id, a := range accums {
-		var s ClassStats
-		v := &s.Vector
-		if a.queries > 0 {
-			v[Latency] = a.latencySum / float64(a.queries)
-			qs := a.latencies.Percentiles(0.5, 0.95, 0.99)
-			s.Latency = LatencySummary{
-				Count: a.queries,
-				Mean:  a.latencies.Mean(),
-				P50:   qs[0],
-				P95:   qs[1],
-				P99:   qs[2],
-				Max:   a.latencies.Max(),
-			}
-			if withHist {
-				s.Hist = a.latencies.Clone()
-			}
+// stats turns one class's counters into its per-interval stats.
+func (a *classAccum) stats(interval float64, withHist bool) ClassStats {
+	var s ClassStats
+	v := &s.Vector
+	if a.queries > 0 {
+		v[Latency] = a.latencySum / float64(a.queries)
+		qs := a.latencies.Percentiles(0.5, 0.95, 0.99)
+		s.Latency = LatencySummary{
+			Count: a.queries,
+			Mean:  a.latencies.Mean(),
+			P50:   qs[0],
+			P95:   qs[1],
+			P99:   qs[2],
+			Max:   a.latencies.Max(),
 		}
-		v[Throughput] = float64(a.queries) / interval
-		v[BufferMisses] = float64(a.misses) / interval
-		v[PageAccesses] = float64(a.accesses) / interval
-		v[IORequests] = float64(a.ioReqs) / interval
-		v[ReadAhead] = float64(a.readAhead) / interval
-		v[LockWait] = a.lockWaitSum / interval
-		out[id] = s
+		if withHist {
+			s.Hist = a.latencies.Clone()
+		}
 	}
-	return out
-}
-
-// Classes returns the identifiers currently tracked, in unspecified order.
-func (c *Collector) Classes() []ClassID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ClassID, 0, len(c.accum))
-	for id := range c.accum {
-		out = append(out, id)
-	}
-	return out
+	v[Throughput] = float64(a.queries) / interval
+	v[BufferMisses] = float64(a.misses) / interval
+	v[PageAccesses] = float64(a.accesses) / interval
+	v[IORequests] = float64(a.ioReqs) / interval
+	v[ReadAhead] = float64(a.readAhead) / interval
+	v[LockWait] = a.lockWaitSum / interval
+	return s
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -14,21 +15,30 @@ var (
 	sibr = ClassID{App: "rubis", Class: "SearchItemsByRegion"}
 )
 
+// fold applies recs to c as records of class id, stamped with its slot.
+func fold(c *Collector, id ClassID, recs ...Record) {
+	slot := c.SlotFor(id)
+	for i := range recs {
+		recs[i].Slot = slot
+	}
+	c.Apply(recs)
+}
+
+// query is the record of one completed query.
+func query(latency float64) Record { return Record{Kind: RecQuery, Value: latency} }
+
 func TestCollectorSnapshotComputesRates(t *testing.T) {
 	c := NewCollector()
-	c.RecordQuery(best, 0.5)
-	c.RecordQuery(best, 1.5)
-	for i := 0; i < 10; i++ {
-		c.RecordAccess(best, i%2 == 0) // 5 misses
-	}
-	c.RecordIO(best, 4)
-	c.RecordReadAhead(best, 2)
+	fold(c, best, query(0.5), query(1.5),
+		Record{Kind: RecAccess, Value: 10}, Record{Kind: RecMiss, Value: 5},
+		Record{Kind: RecIO, Value: 4}, Record{Kind: RecReadAhead, Value: 2},
+		Record{Kind: RecLockWait, Value: 0.5})
 
-	snap := c.Snapshot(2.0)
-	v, ok := snap[best]
+	s, ok := c.Snapshot(2.0, false)[best]
 	if !ok {
 		t.Fatal("BestSeller missing from snapshot")
 	}
+	v := s.Vector
 	if v.Get(Latency) != 1.0 {
 		t.Errorf("latency = %v, want 1.0", v.Get(Latency))
 	}
@@ -47,30 +57,46 @@ func TestCollectorSnapshotComputesRates(t *testing.T) {
 	if v.Get(ReadAhead) != 1.0 {
 		t.Errorf("readahead = %v, want 1.0/s", v.Get(ReadAhead))
 	}
+	if v.Get(LockWait) != 0.25 {
+		t.Errorf("lock wait = %v, want 0.25 s/s", v.Get(LockWait))
+	}
 }
 
 func TestCollectorSnapshotResets(t *testing.T) {
 	c := NewCollector()
-	c.RecordQuery(best, 1)
-	c.Snapshot(1)
-	snap := c.Snapshot(1)
-	if v := snap[best]; v.Get(Throughput) != 0 {
+	fold(c, best, query(1))
+	c.Snapshot(1, false)
+	snap := c.Snapshot(1, false)
+	if v := snap[best].Vector; v.Get(Throughput) != 0 {
 		t.Errorf("second snapshot not reset: throughput = %v", v.Get(Throughput))
 	}
 }
 
 func TestCollectorIdleClassStillReported(t *testing.T) {
 	c := NewCollector()
-	c.RecordQuery(best, 1)
-	c.Snapshot(1)
-	snap := c.Snapshot(1)
+	fold(c, best, query(1))
+	c.Snapshot(1, false)
+	snap := c.Snapshot(1, false)
 	if _, ok := snap[best]; !ok {
 		t.Fatal("idle class dropped from snapshot")
 	}
 }
 
+// TestApplyZeroSlotPanics checks that a record logged without its slot
+// is rejected rather than credited to another class.
+func TestApplyZeroSlotPanics(t *testing.T) {
+	c := NewCollector()
+	c.SlotFor(best)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Apply folded a record with the zero Slot")
+		}
+	}()
+	c.Apply([]Record{query(1)})
+}
+
 func TestCollectorNonPositiveIntervalPanics(t *testing.T) {
-	for _, interval := range []float64{0, -1} {
+	for _, interval := range []float64{0, -1, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -78,8 +104,8 @@ func TestCollectorNonPositiveIntervalPanics(t *testing.T) {
 				}
 			}()
 			c := NewCollector()
-			c.RecordQuery(best, 1)
-			c.Snapshot(interval)
+			fold(c, best, query(1))
+			c.Snapshot(interval, false)
 		}()
 	}
 }
@@ -88,14 +114,15 @@ func TestCollectorSnapshotStatsPercentiles(t *testing.T) {
 	c := NewCollector()
 	// 97 fast queries and 3 slow ones: p50/p95 stay near 10ms, p99 and
 	// max must surface the tail that the average hides.
+	var recs []Record
 	for i := 0; i < 97; i++ {
-		c.RecordQuery(best, 0.010)
+		recs = append(recs, query(0.010))
 	}
 	for i := 0; i < 3; i++ {
-		c.RecordQuery(best, 2.0)
+		recs = append(recs, query(2.0))
 	}
-	stats := c.SnapshotStats(10)
-	s, ok := stats[best]
+	fold(c, best, recs...)
+	s, ok := c.Snapshot(10, true)[best]
 	if !ok {
 		t.Fatal("BestSeller missing from stats snapshot")
 	}
@@ -113,29 +140,41 @@ func TestCollectorSnapshotStatsPercentiles(t *testing.T) {
 		t.Errorf("quantiles not monotone: %+v", lat)
 	}
 	if s.Hist == nil || s.Hist.Count() != 100 {
-		t.Error("stats snapshot missing histogram copy")
+		t.Fatal("stats snapshot missing histogram copy")
 	}
 	// The vector view must agree with the summary's mean.
 	if got, want := s.Vector.Get(Latency), lat.Mean; got != want {
 		t.Errorf("vector latency %v != summary mean %v", got, want)
 	}
+	// Without withHist the summary is there and the histogram is not;
+	// the copy handed out before survives the collector's reset.
+	fold(c, best, query(0.5))
+	if s2 := c.Snapshot(10, false)[best]; s2.Latency.Count != 1 || s2.Hist != nil {
+		t.Errorf("snapshot without histogram: count %d, hist %v", s2.Latency.Count, s2.Hist)
+	}
+	if s.Hist.Count() != 100 || s.Hist.Max() != 2.0 {
+		t.Errorf("histogram copy changed with the collector: count %d, max %v", s.Hist.Count(), s.Hist.Max())
+	}
 	// Idle interval afterwards: summary resets, class still reported.
-	stats = c.SnapshotStats(10)
-	if s := stats[best]; s.Latency.Count != 0 || s.Hist != nil {
+	if s := c.Snapshot(10, true)[best]; s.Latency.Count != 0 || s.Hist != nil {
 		t.Errorf("latency summary not reset: %+v", s.Latency)
 	}
 }
 
 func TestCollectorTracksMultipleClasses(t *testing.T) {
 	c := NewCollector()
-	c.RecordQuery(best, 1)
-	c.RecordQuery(newp, 2)
-	c.RecordQuery(sibr, 3)
-	if got := len(c.Classes()); got != 3 {
-		t.Fatalf("Classes() = %d entries, want 3", got)
+	// A class enters snapshots with its first record, not when SlotFor
+	// assigns its slot: one that never ran would otherwise join the
+	// outlier detector's population at a zero vector.
+	c.SlotFor(ClassID{App: "tpcw", Class: "NeverRun"})
+	fold(c, best, query(1))
+	fold(c, newp, query(2))
+	fold(c, sibr, query(3))
+	snap := c.Snapshot(1, false)
+	if got := len(snap); got != 3 {
+		t.Fatalf("snapshot has %d classes, want the 3 that logged records", got)
 	}
-	snap := c.Snapshot(1)
-	if snap[newp].Get(Latency) != 2 || snap[sibr].Get(Latency) != 3 {
+	if snap[newp].Vector.Get(Latency) != 2 || snap[sibr].Vector.Get(Latency) != 3 {
 		t.Error("per-class latency mixed up between classes")
 	}
 }
@@ -177,7 +216,7 @@ func TestLogBufferFlushesWhenFull(t *testing.T) {
 		flushed = append(flushed, cp)
 	})
 	for i := 0; i < 7; i++ {
-		b.Append(Record{Kind: RecAccess, Class: best, Value: float64(i)})
+		b.Append(Record{Kind: RecAccess, Slot: 1, Value: float64(i)})
 	}
 	if len(flushed) != 2 {
 		t.Fatalf("flushes = %d, want 2 (two full batches of 3)", len(flushed))
@@ -197,15 +236,15 @@ func TestLogBufferFlushesWhenFull(t *testing.T) {
 
 func TestLogBufferDrainIntoCollector(t *testing.T) {
 	c := NewCollector()
-	b := NewLogBuffer(2, Drain(c))
-	b.Append(Record{Kind: RecQuery, Class: best, Value: 0.25})
-	b.Append(Record{Kind: RecAccess, Class: best, Value: 1})
-	b.Append(Record{Kind: RecMiss, Class: best, Value: 1})
-	b.Append(Record{Kind: RecIO, Class: best, Value: 3})
-	b.Append(Record{Kind: RecReadAhead, Class: best, Value: 5})
+	slot := c.SlotFor(best)
+	b := NewLogBuffer(2, c.Apply)
+	b.Append(Record{Kind: RecQuery, Slot: slot, Value: 0.25})
+	b.Append(Record{Kind: RecAccess, Slot: slot, Value: 1})
+	b.Append(Record{Kind: RecMiss, Slot: slot, Value: 1})
+	b.Append(Record{Kind: RecIO, Slot: slot, Value: 3})
+	b.Append(Record{Kind: RecReadAhead, Slot: slot, Value: 5})
 	b.Flush()
-	snap := c.Snapshot(1)
-	v := snap[best]
+	v := c.Snapshot(1, false)[best].Vector
 	if v.Get(Latency) != 0.25 || v.Get(BufferMisses) != 1 || v.Get(IORequests) != 3 || v.Get(ReadAhead) != 5 {
 		t.Fatalf("drained vector wrong: %+v", v)
 	}
@@ -223,10 +262,10 @@ func TestCollectorConcurrent(t *testing.T) {
 	)
 	c := NewCollector()
 	totals := make(map[ClassID]int64) // queries observed across snapshots
-	absorb := func(snap map[ClassID]Vector) {
-		for id, v := range snap {
+	absorb := func(snap map[ClassID]ClassStats) {
+		for id, s := range snap {
 			// interval 1.0 makes Throughput the raw query count.
-			totals[id] += int64(v.Get(Throughput) + 0.5)
+			totals[id] += int64(s.Vector.Get(Throughput) + 0.5)
 		}
 	}
 
@@ -239,7 +278,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				absorb(c.Snapshot(1.0))
+				absorb(c.Snapshot(1.0, false))
 			}
 		}
 	}()
@@ -250,14 +289,15 @@ func TestCollectorConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			buf := NewLogBuffer(64, Drain(c))
-			own := ClassID{App: "app", Class: fmt.Sprintf("C%d", p)}
+			buf := NewLogBuffer(64, c.Apply)
+			own := c.SlotFor(ClassID{App: "app", Class: fmt.Sprintf("C%d", p)})
+			sh := c.SlotFor(shared)
 			for i := 0; i < perClass; i++ {
-				buf.Append(Record{Kind: RecQuery, Class: own, Value: 0.01})
-				buf.Append(Record{Kind: RecQuery, Class: shared, Value: 0.02})
-				buf.Append(Record{Kind: RecAccess, Class: own, Value: 1})
+				buf.Append(Record{Kind: RecQuery, Slot: own, Value: 0.01})
+				buf.Append(Record{Kind: RecQuery, Slot: sh, Value: 0.02})
+				buf.Append(Record{Kind: RecAccess, Slot: own, Value: 1})
 				if i%3 == 0 {
-					buf.Append(Record{Kind: RecMiss, Class: own, Value: 1})
+					buf.Append(Record{Kind: RecMiss, Slot: own, Value: 1})
 				}
 			}
 			buf.Flush() // producer shutdown: deliver the partial batch
@@ -266,7 +306,7 @@ func TestCollectorConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-readerDone
-	absorb(c.Snapshot(1.0))
+	absorb(c.Snapshot(1.0, true))
 
 	for p := 0; p < producers; p++ {
 		own := ClassID{App: "app", Class: fmt.Sprintf("C%d", p)}
@@ -279,66 +319,40 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 }
 
-// TestCollectorDoubleBuffer verifies the swap preserves Snapshot's
-// contract: idle classes keep reporting zero vectors in later intervals,
-// and counters never leak across the swap.
-func TestCollectorDoubleBuffer(t *testing.T) {
+// TestCollectorSteadyStateSnapshot verifies Snapshot's contract over
+// several intervals: idle classes keep reporting zero vectors, counters
+// never leak into the next interval, and a steady-state snapshot reuses
+// the class's accumulator and histogram.
+func TestCollectorSteadyStateSnapshot(t *testing.T) {
 	c := NewCollector()
 	id := ClassID{App: "a", Class: "Q"}
-	c.RecordQuery(id, 0.5)
-	s1 := c.Snapshot(1)
-	if got := s1[id].Get(Throughput); got != 1 {
+	fold(c, id, query(0.5))
+	s1 := c.Snapshot(1, false)
+	if got := s1[id].Vector.Get(Throughput); got != 1 {
 		t.Fatalf("first interval throughput: got %v want 1", got)
 	}
-	// Two idle intervals: the class must still be reported, at zero, from
-	// both halves of the double buffer.
+	// Two idle intervals: the class must still be reported, at zero.
 	for i := 0; i < 2; i++ {
-		s := c.Snapshot(1)
-		v, ok := s[id]
+		s, ok := c.Snapshot(1, false)[id]
 		if !ok {
 			t.Fatalf("interval %d: idle class vanished from snapshot", i+2)
 		}
-		if v != (Vector{}) {
-			t.Fatalf("interval %d: idle class has non-zero vector %v", i+2, v)
+		if s.Vector != (Vector{}) {
+			t.Fatalf("interval %d: idle class has non-zero vector %v", i+2, s.Vector)
 		}
 	}
-	// Steady state: snapshots must not allocate fresh accumulator maps.
+	// Steady state: snapshots must not allocate fresh accumulators.
+	batch := []Record{{Kind: RecQuery, Slot: c.SlotFor(id), Value: 0.1}}
 	allocs := testing.AllocsPerRun(100, func() {
-		c.RecordQuery(id, 0.1)
-		c.Snapshot(1)
+		c.Apply(batch)
+		c.Snapshot(1, false)
 	})
 	// The result map and the percentile scratch are expected; the
-	// accumulator maps and histograms themselves must be recycled, so a
-	// rebuild (fresh map + accum + histogram per class) would exceed this.
+	// accumulators and histograms themselves must be recycled, so a
+	// rebuild (fresh accumulator + histogram per class) would exceed
+	// this.
 	if allocs > 10 {
 		t.Errorf("steady-state snapshot allocates %.1f objects per run", allocs)
-	}
-}
-
-// TestApplyMatchesRecords checks the batch path and the per-record path
-// accumulate identically.
-func TestApplyMatchesRecords(t *testing.T) {
-	id := ClassID{App: "a", Class: "Q"}
-	batch := []Record{
-		{Kind: RecQuery, Class: id, Value: 0.2},
-		{Kind: RecAccess, Class: id, Value: 2},
-		{Kind: RecMiss, Class: id, Value: 1},
-		{Kind: RecIO, Class: id, Value: 7},
-		{Kind: RecReadAhead, Class: id, Value: 4},
-		{Kind: RecLockWait, Class: id, Value: 0.05},
-	}
-	a := NewCollector()
-	a.Apply(batch)
-	b := NewCollector()
-	b.RecordQuery(id, 0.2)
-	b.RecordAccess(id, true)
-	b.RecordAccess(id, false)
-	b.RecordIO(id, 7)
-	b.RecordReadAhead(id, 4)
-	b.RecordLockWait(id, 0.05)
-	av, bv := a.Snapshot(2)[id], b.Snapshot(2)[id]
-	if av != bv {
-		t.Fatalf("Apply %v != record methods %v", av, bv)
 	}
 }
 

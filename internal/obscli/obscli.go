@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -66,8 +67,8 @@ var ctrlFlagNames = []string{"ctrl.latency", "ctrl.jitter", "ctrl.drop", "ctrl.d
 // applies the parsed values with Apply after flag.Parse.
 func RegisterCtrlFlags() *CtrlFlags {
 	return &CtrlFlags{
-		latency: flag.Float64("ctrl.latency", 0, "control channel: one-way delivery latency in seconds"),
-		jitter:  flag.Float64("ctrl.jitter", 0, "control channel: uniform latency jitter in seconds"),
+		latency: flag.Float64("ctrl.latency", 0, "control channel: one-way delivery latency in seconds, finite and ≥ 0"),
+		jitter:  flag.Float64("ctrl.jitter", 0, "control channel: uniform latency jitter in seconds, finite and ≥ 0"),
 		drop:    flag.Float64("ctrl.drop", 0, "control channel: message loss probability in [0, 1)"),
 		dup:     flag.Float64("ctrl.dup", 0, "control channel: message duplication probability in [0, 1)"),
 	}
@@ -77,6 +78,31 @@ func RegisterCtrlFlags() *CtrlFlags {
 // values, so every testbed the run builds uses them.
 func (c *CtrlFlags) Apply(o *experiments.Options) {
 	o.CtrlLink = ctrlnet.Config{Latency: *c.latency, Jitter: *c.jitter, Drop: *c.drop, Dup: *c.dup}
+}
+
+// CheckFlags reports the first shared flag whose value lies outside its
+// documented range: -ctrl.latency and -ctrl.jitter must be finite and
+// ≥ 0, -ctrl.drop and -ctrl.dup in [0, 1), -trace.sample in [0, 1] and
+// -trace.ring ≥ 0. NaN lies in no range. The tools call it right after
+// flag.Parse, before any simulation state exists, and exit 2 on an error.
+func CheckFlags(link ctrlnet.Config, traceSample float64, traceRing int) error {
+	for _, f := range []struct {
+		name, want string
+		v          float64
+		ok         bool
+	}{
+		{"-ctrl.latency", "finite and ≥ 0", link.Latency, link.Latency >= 0 && !math.IsInf(link.Latency, 1)},
+		{"-ctrl.jitter", "finite and ≥ 0", link.Jitter, link.Jitter >= 0 && !math.IsInf(link.Jitter, 1)},
+		{"-ctrl.drop", "in [0, 1)", link.Drop, link.Drop >= 0 && link.Drop < 1},
+		{"-ctrl.dup", "in [0, 1)", link.Dup, link.Dup >= 0 && link.Dup < 1},
+		{"-trace.sample", "in [0, 1]", traceSample, traceSample >= 0 && traceSample <= 1},
+		{"-trace.ring", "≥ 0", float64(traceRing), traceRing >= 0},
+	} {
+		if !f.ok {
+			return fmt.Errorf("%s must be %s, got %v", f.name, f.want, f.v)
+		}
+	}
+	return nil
 }
 
 // AnySet reports whether any -ctrl.* flag was passed explicitly (call
@@ -340,29 +366,32 @@ func (s *Session) warmStart(ctl *core.Controller) {
 // Finish marks the run complete, enabling live diagnosis, flushes the
 // flight recording to -run.out, and persists the last controller's
 // signatures when -sig.store is set. Call it after the scenario function
-// returns (the simulation ran to completion inside it).
-func (s *Session) Finish() {
+// returns (the simulation ran to completion inside it). It tries both
+// files and returns the errors of those it could not write; the tools
+// then exit 1.
+func (s *Session) Finish() error {
 	s.mu.Lock()
 	ctl := s.ctl
 	s.running = false
 	s.mu.Unlock()
+	var runErr, sigErr error
 	if s.Flight != nil && s.runOut != "" {
 		rec := s.Flight.Snapshot()
 		if err := obs.WriteRunFile(s.runOut, rec, true); err != nil {
-			fmt.Fprintf(os.Stderr, "flight recorder: saving %s: %v\n", s.runOut, err)
+			runErr = fmt.Errorf("flight recorder: saving %s: %w", s.runOut, err)
 		} else {
 			fmt.Fprintf(os.Stderr, "flight recorder: %d ticks, %d series, %d traces saved to %s\n",
 				len(rec.Ticks), len(rec.Series), len(rec.Traces), s.runOut)
 		}
 	}
-	if s.sigPath == "" || ctl == nil {
-		return
+	if s.sigPath != "" && ctl != nil {
+		if err := ctl.Signatures().SaveFile(s.sigPath); err != nil {
+			sigErr = fmt.Errorf("signatures: saving %s: %w", s.sigPath, err)
+		} else {
+			fmt.Fprintf(os.Stderr, "signatures: saved to %s\n", s.sigPath)
+		}
 	}
-	if err := ctl.Signatures().SaveFile(s.sigPath); err != nil {
-		fmt.Fprintf(os.Stderr, "signatures: saving %s: %v\n", s.sigPath, err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "signatures: saved to %s\n", s.sigPath)
+	return errors.Join(runErr, sigErr)
 }
 
 // WaitForInterrupt blocks until SIGINT/SIGTERM so the endpoints stay

@@ -144,8 +144,12 @@ func Generate(g Generator, n int) []uint64 {
 
 // Interleave builds a mixed trace from per-class generators, drawing each
 // access from a class chosen with probability proportional to its weight.
-// It models the concurrent query mix hitting one buffer pool.
+// It models the concurrent query mix hitting one buffer pool. A negative
+// n panics.
 func Interleave(rng *sim.RNG, n int, classes []string, gens []Generator, weights []float64) Trace {
+	if n < 0 {
+		panic(fmt.Sprintf("trace: Interleave needs n ≥ 0 accesses, got %d", n))
+	}
 	if len(classes) != len(gens) || len(classes) != len(weights) || len(classes) == 0 {
 		return nil
 	}

@@ -158,6 +158,18 @@ func TestNewUniformSetRejectsHugeSpan(t *testing.T) {
 	NewUniformSet(sim.NewRNG(1), 0, 1<<63)
 }
 
+// TestInterleaveRejectsNegativeN: a negative access count panics with
+// a message naming it, not with makeslice's.
+func TestInterleaveRejectsNegativeN(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "got -5") {
+			t.Fatalf("Interleave(n -5) recovered %q, want a panic naming n", msg)
+		}
+	}()
+	Interleave(sim.NewRNG(1), -5, []string{"a"}, []Generator{&SequentialScan{Span: 10}}, []float64{1})
+}
+
 func TestInterleaveWeights(t *testing.T) {
 	rng := sim.NewRNG(3)
 	a := &SequentialScan{Base: 0, Span: 1000}

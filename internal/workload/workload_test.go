@@ -300,9 +300,9 @@ func TestMixSelectionRespectsWeights(t *testing.T) {
 	em.Start()
 	eng.RunUntil(120)
 	em.Stop()
-	snap := dbe.Snapshot(120)
-	nb := snap[browse].Get(metrics.Throughput)
-	nh := snap[heavy].Get(metrics.Throughput)
+	snap := dbe.Snapshot(120, false)
+	nb := snap[browse].Vector.Get(metrics.Throughput)
+	nh := snap[heavy].Vector.Get(metrics.Throughput)
 	if nh == 0 {
 		t.Fatal("low-weight class never drawn")
 	}
